@@ -38,10 +38,7 @@ from .config import (
 from .dsp import (
     SignalBuffer,
     SrrcSpec,
-    dft,
-    downsample,
     fractional_delay,
-    idft,
     qfunc,
     raised_cosine_response,
     srrc_taps,
@@ -55,9 +52,6 @@ from .frame import (
     build_frame,
     generate_pn,
     make_constellation,
-    qam_demodulate,
-    qam_modulate,
-    transmit_chain,
 )
 from .montecarlo import (
     BerCurve,

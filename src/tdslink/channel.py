@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import SignalBuffer, fractional_delay, raised_cosine_response
+from .dsp import SignalBuffer, delay, raised_cosine_response
 from .frame import PnSequence
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "apply_channel",
     "awgn_response",
     "equivalent_response",
+    "estimate_complex_response_from_pn",
     "estimate_response_from_pn",
     "load_profile",
     "wrap_phase",
@@ -114,12 +115,9 @@ def apply_channel(buf: SignalBuffer, profile: ChannelProfile) -> SignalBuffer:
     n_out = len(x) + int(math.ceil(shifts.max())) + 1
     out = np.zeros(n_out, dtype=np.complex128)
     for gain, shift in zip(profile.gains, shifts):
-        base = int(round(shift))
-        mu = float(shift - base)
-        if abs(mu) < 1e-9:
-            out[base : base + len(x)] += gain * x
-        else:
-            out[base : base + len(x)] += gain * fractional_delay(x, mu)
+        y, base = delay(x, float(shift))
+        out[base : base + len(x)] += gain * y
+        del y  # free it before the next tap's interpolation: peak memory
     return SignalBuffer(out, sps=buf.sps, origin=buf.origin)
 
 
@@ -220,6 +218,35 @@ def awgn_response(alpha: float, epsilon: float, f) -> np.ndarray:
     return out
 
 
+def _pn_ls_estimate(
+    guard_windows: np.ndarray,
+    pn: PnSequence,
+    guard_amplitude: float,
+    spectral_floor: float = 1e-6,
+) -> np.ndarray:
+    """Per-bin LS estimate DFT(rx)/DFT(tx_guard), averaged over the rows."""
+    windows = np.atleast_2d(np.asarray(guard_windows, dtype=np.complex128))
+    if windows.shape[1] != pn.chips.size:
+        raise ValueError(
+            f"guard windows have length {windows.shape[1]}, PN is {pn.chips.size}"
+        )
+    ref = np.fft.fft(guard_amplitude * pn.chips)
+    mag = np.abs(ref)
+    bad = mag < spectral_floor * float(np.mean(mag))
+    if np.any(bad):
+        raise ValueError(
+            f"{int(bad.sum())} PN spectrum bins below threshold; "
+            "pick a different generator"
+        )
+    return np.mean(np.fft.fft(windows, axis=1), axis=0) / ref
+
+
+def _interp_bins(values: np.ndarray, n_fft: int) -> np.ndarray:
+    """Periodic linear interpolation of real per-bin values onto n_fft bins."""
+    f_l = np.arange(values.size) / values.size
+    return np.interp(np.arange(n_fft) / n_fft, f_l, values, period=1.0)
+
+
 def estimate_response_from_pn(
     guard_windows: np.ndarray,
     pn: PnSequence,
@@ -236,27 +263,21 @@ def estimate_response_from_pn(
     bins.  Only magnitudes are meaningful in the result (the band-power
     phase criterion needs nothing else), so ``h`` is real non-negative.
     """
-    windows = np.atleast_2d(np.asarray(guard_windows, dtype=np.complex128))
-    if windows.shape[1] != pn.chips.size:
-        raise ValueError(
-            f"guard windows have length {windows.shape[1]}, PN is {pn.chips.size}"
-        )
-    ref = np.fft.fft(guard_amplitude * pn.chips)
-    mag = np.abs(ref)
-    bad = mag < spectral_floor * float(np.mean(mag))
-    if np.any(bad):
-        raise ValueError(
-            f"{int(bad.sum())} PN spectrum bins below threshold; "
-            "pick a different generator"
-        )
-    est = np.mean(np.fft.fft(windows, axis=1), axis=0) / ref
-    L = pn.chips.size
-    f_l = np.arange(L) / L
-    f_n = np.arange(n_fft) / n_fft
-    magsq = np.interp(f_n, f_l, np.abs(est) ** 2, period=1.0)
+    est = _pn_ls_estimate(guard_windows, pn, guard_amplitude, spectral_floor)
+    magsq = _interp_bins(np.abs(est) ** 2, n_fft)
     return EquivResponse(
         h=np.sqrt(magsq).astype(np.complex128),
         epsilon=math.nan,
         alpha=math.nan,
         profile_name="pn-estimate",
     )
+
+
+def estimate_complex_response_from_pn(
+    guard_windows: np.ndarray, pn: PnSequence, n_fft: int, guard_amplitude: float
+) -> np.ndarray:
+    """Complex gains for equalizing: the LS step of
+    :func:`estimate_response_from_pn` with the real and imaginary parts
+    interpolated up to ``n_fft`` bins."""
+    est = _pn_ls_estimate(guard_windows, pn, guard_amplitude)
+    return _interp_bins(est.real, n_fft) + 1j * _interp_bins(est.imag, n_fft)

@@ -53,8 +53,10 @@ class McConfig:
             raise ConfigError("min_bits and min_errors must be positive")
         if self.max_frames < self.frames_per_burst:
             raise ConfigError("max_frames must cover at least one burst")
-        if self.frames_per_burst < 1:
-            raise ConfigError("frames_per_burst must be positive")
+        if self.frames_per_burst < 3:
+            raise ConfigError(
+                "frames_per_burst must be >= 3 (edge frames are not measured)"
+            )
         if self.chunk_bursts < 1:
             raise ConfigError("chunk_bursts must be positive")
         if self.workers < 1:

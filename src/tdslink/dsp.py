@@ -15,14 +15,11 @@ from scipy import special
 from scipy.signal import fftconvolve
 
 __all__ = [
-    "RateError",
     "SignalBuffer",
     "SrrcSpec",
     "apply_fir",
-    "dft",
-    "downsample",
+    "delay",
     "fractional_delay",
-    "idft",
     "qfunc",
     "raised_cosine_response",
     "srrc_taps",
@@ -30,10 +27,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-class RateError(ValueError):
-    """Raised when buffers with incompatible rate tags are combined."""
 
 
 @dataclass(frozen=True)
@@ -145,24 +138,12 @@ def srrc_taps(spec: SrrcSpec) -> np.ndarray:
 def upsample(buf: SignalBuffer, factor: int) -> SignalBuffer:
     """Zero-stuff a symbol-rate buffer by an integer factor."""
     if buf.sps != 1:
-        raise RateError("upsample expects a symbol-rate buffer")
+        raise ValueError("upsample expects a symbol-rate buffer")
     if factor < 2:
         raise ValueError("upsampling factor must be >= 2")
     out = np.zeros(len(buf) * factor, dtype=np.complex128)
     out[::factor] = buf.samples
     return SignalBuffer(out, sps=factor, origin=buf.origin * factor)
-
-
-def downsample(buf: SignalBuffer, factor: int, offset: int = 0) -> SignalBuffer:
-    """Keep every ``factor``-th sample starting at ``offset``."""
-    if buf.sps != factor:
-        raise RateError(
-            f"buffer is tagged {buf.sps} samples/symbol, expected {factor}"
-        )
-    if not 0 <= offset < factor:
-        raise ValueError(f"offset must be in [0, {factor}), got {offset}")
-    new_origin = max(0, -(-(buf.origin - offset) // factor))
-    return SignalBuffer(buf.samples[offset::factor].copy(), sps=1, origin=new_origin)
 
 
 def apply_fir(buf: SignalBuffer, taps: np.ndarray) -> SignalBuffer:
@@ -181,9 +162,9 @@ def fractional_delay(x: np.ndarray, mu: float, n_taps: int = 63) -> np.ndarray:
 
     Blackman-windowed sinc interpolator with compensated group delay:
     the output has the same length and time alignment as the input apart
-    from the fractional shift.  Integer parts of a larger delay are the
-    caller's business (plain index shifts).  Accurate for content below
-    ~0.4 of the sample rate; mu = 0 is an exact pass-through.
+    from the fractional shift; :func:`delay` handles larger delays.
+    Accurate for content below ~0.4 of the sample rate; mu = 0 is an
+    exact pass-through.
     """
     if not -0.5 <= mu <= 0.5:
         raise ValueError(f"fractional delay must be in [-0.5, 0.5], got {mu}")
@@ -200,6 +181,23 @@ def fractional_delay(x: np.ndarray, mu: float, n_taps: int = 63) -> np.ndarray:
     return y[half : half + len(x)]
 
 
+def delay(x: np.ndarray, d: float) -> tuple[np.ndarray, int]:
+    """Delay a buffer by ``d`` samples (any real ``d``, at its own rate).
+
+    Returns ``(y, base)`` with ``base = round(d)``: ``y`` is ``x`` delayed
+    by the fractional rest ``d - base`` (same length and alignment as
+    ``x``), and the full delay is the index shift ``z[n + base] = y[n]``.
+    Positive ``d`` makes the signal arrive later; sampling a stream
+    ``eps`` symbols late is therefore ``delay(x, -eps * sps)`` read from
+    index ``origin - base``.  A rest below 1e-12 is passed through.
+    """
+    base = int(round(d))
+    mu = d - base
+    if abs(mu) < 1e-12:
+        return np.asarray(x, dtype=np.complex128), base
+    return fractional_delay(x, mu), base
+
+
 def qfunc(x):
     """Tail probability of the standard normal distribution.
 
@@ -211,22 +209,3 @@ def qfunc(x):
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def _require_power_of_two(n: int) -> None:
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"transform length must be a power of two, got {n}")
-
-
-def dft(x: np.ndarray) -> np.ndarray:
-    """Unnormalized forward DFT: X[n] = sum_k x[k] exp(-j 2 pi n k / N)."""
-    x = np.asarray(x)
-    _require_power_of_two(x.size)
-    return np.fft.fft(x)
-
-
-def idft(X: np.ndarray) -> np.ndarray:
-    """Inverse DFT carrying the 1/N factor, so idft(dft(x)) == x."""
-    X = np.asarray(X)
-    _require_power_of_two(X.size)
-    return np.fft.ifft(X)

@@ -9,12 +9,11 @@ frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import SignalBuffer, SrrcSpec, apply_fir, idft, srrc_taps, upsample
+from .dsp import SignalBuffer, apply_fir, upsample
 
 __all__ = [
     "Constellation",
@@ -25,9 +24,6 @@ __all__ = [
     "detect_labels",
     "generate_pn",
     "make_constellation",
-    "qam_demodulate",
-    "qam_modulate",
-    "transmit_chain",
 ]
 
 # Primitive polynomials (coefficient masks, x^d .. x^0) for the default
@@ -154,28 +150,6 @@ def make_constellation(name: str) -> Constellation:
     return Constellation(name=key, order=order, points=points)
 
 
-def bits_to_labels(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.size % bits_per_symbol:
-        raise ValueError(
-            f"bit count {bits.size} is not a multiple of {bits_per_symbol}"
-        )
-    weights = 1 << np.arange(bits_per_symbol - 1, -1, -1, dtype=np.int64)
-    return bits.reshape(-1, bits_per_symbol) @ weights
-
-
-def labels_to_bits(labels: np.ndarray, bits_per_symbol: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    shifts = np.arange(bits_per_symbol - 1, -1, -1, dtype=np.int64)
-    return ((labels[:, None] >> shifts) & 1).reshape(-1)
-
-
-def qam_modulate(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Map a bit sequence onto constellation symbols, MSB-first labels."""
-    labels = bits_to_labels(bits, constellation.bits_per_symbol)
-    return constellation.points[labels]
-
-
 def detect_labels(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
     """Hard decisions: index of the nearest constellation point.
 
@@ -192,12 +166,6 @@ def detect_labels(symbols: np.ndarray, constellation: Constellation) -> np.ndarr
         d2 = np.abs(part[:, None] - points[None, :]) ** 2
         out[lo : lo + chunk] = np.argmin(d2, axis=1)
     return out
-
-
-def qam_demodulate(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Minimum-distance decisions back to bits (inverse Gray labelling)."""
-    labels = detect_labels(symbols, constellation)
-    return labels_to_bits(labels, constellation.bits_per_symbol)
 
 
 @dataclass(frozen=True)
@@ -281,29 +249,14 @@ def build_frame(
         raise ValueError(
             f"PN length {pn.chips.size} does not match config {cfg.pn_len}"
         )
-    body = idft(data_syms)
+    body = np.fft.ifft(data_syms)
     one_guard = cfg.guard_amplitude * pn.chips
     guard = np.tile(one_guard, 2) if cfg.dual_pn else one_guard
     return TdsFrame(guard=guard.astype(np.complex128), body=body)
 
 
-def shape_symbols(
-    symbols: np.ndarray, n_upsam: int, taps: np.ndarray, origin: int = 0
-) -> SignalBuffer:
+def shape_symbols(symbols: np.ndarray, n_upsam: int, taps: np.ndarray) -> SignalBuffer:
     """Zero-stuff a symbol sequence and shape it with the given FIR taps."""
-    buf = SignalBuffer(np.asarray(symbols, dtype=np.complex128), sps=1, origin=origin)
+    buf = SignalBuffer(np.asarray(symbols, dtype=np.complex128))
     return apply_fir(upsample(buf, n_upsam), taps)
 
-
-def transmit_chain(
-    frames: Sequence[TdsFrame], cfg: FrameConfig, srrc: SrrcSpec
-) -> SignalBuffer:
-    """Concatenate frames, upsample, and SRRC-shape the stream.
-
-    The full convolution transient is kept; the returned buffer's origin
-    marks the sample aligned with symbol 0 (the shaping group delay).
-    """
-    if srrc.samples_per_symbol != cfg.n_upsam:
-        raise ValueError("shaping filter rate must match the upsampling factor")
-    symbols = np.concatenate([f.samples for f in frames])
-    return shape_symbols(symbols, cfg.n_upsam, srrc_taps(srrc))

@@ -39,10 +39,11 @@ from .channel import (
     apply_channel,
     awgn_response,
     equivalent_response,
+    estimate_complex_response_from_pn,
     estimate_response_from_pn,
 )
-from .config import ConfigError, ScenarioConfig, scenario_fingerprint
-from .dsp import SignalBuffer, apply_fir, fractional_delay, srrc_taps
+from .config import ScenarioConfig, scenario_fingerprint
+from .dsp import SignalBuffer, apply_fir, delay, srrc_taps
 from .frame import build_frame, detect_labels, shape_symbols
 from .str_sync import StrLoopState, converged_sampling_phase, str_track
 
@@ -134,32 +135,50 @@ class _Chain:
             return self.tail
         return min(self.tail, max(0, self.G - self.tail))
 
-    def guard_symbols(self, n_frames: int) -> np.ndarray:
-        """Symbol stream of ``n_frames`` frames with all-zero bodies."""
-        guard = self.cfg.frame.guard_amplitude * self.pn.chips
-        if self.cfg.frame.dual_pn:
-            guard = np.tile(guard, 2)
-        frame = np.concatenate([guard, np.zeros(self.N)])
-        return np.concatenate(
-            [np.zeros(self.pad), np.tile(frame, n_frames), np.zeros(self.pad)]
-        ).astype(np.complex128)
+    def draw_labels(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
+        """Random (n_frames, N) symbol labels from MSB-first random bits."""
+        k = self.k
+        bits = rng.integers(0, 2, size=(n_frames, self.N * k), dtype=np.int64)
+        weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+        return bits.reshape(n_frames, self.N, k) @ weights
 
-    def receive(self, symbols: np.ndarray, epsilon: float) -> np.ndarray:
-        """Shape, propagate, and sample one symbol stream at phase epsilon.
+    def stream(self, data_rows: np.ndarray) -> np.ndarray:
+        """Symbol stream of one frame per row of data symbols, zero-padded
+        by ``pad`` on both sides; all-zero rows give the guards alone."""
+        pad = np.zeros(self.pad)
+        frames = [build_frame(d, self.pn, self.cfg.frame).samples for d in data_rows]
+        return np.concatenate([pad, *frames, pad]).astype(np.complex128)
 
-        Noiseless; returns the symbol-rate sequence aligned with the
-        input symbol indices (index 0 = first padding symbol).
+    def front_end(
+        self,
+        symbols: np.ndarray,
+        ebn0_db: float | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> SignalBuffer:
+        """Shape, propagate and matched-filter a symbol stream.
+
+        With ``ebn0_db`` set, white noise calibrated to the body power is
+        drawn from ``rng`` and added before the matched filter.
         """
         tx = shape_symbols(symbols, self.L, self.taps)
         if not self.cfg.channel.is_identity:
             tx = apply_channel(tx, self.cfg.channel)
-        rx = apply_fir(tx, self.taps)
-        shift = epsilon * self.L
-        base = int(round(shift))
-        mu = shift - base
-        arr = rx.samples if abs(mu) < 1e-12 else fractional_delay(rx.samples, -mu)
-        start = rx.origin + base
-        return arr[start :: self.L]
+        if ebn0_db is not None:
+            noisy = add_awgn(
+                tx.samples, ebn0_db, self.k, self.L, rng, self.body_power_ovs
+            )
+            tx = SignalBuffer(noisy, tx.sps, tx.origin)
+        return apply_fir(tx, self.taps)
+
+    def sample(self, rx: SignalBuffer, epsilon: float) -> np.ndarray:
+        """Symbol-rate samples of a matched-filter output taken
+        ``epsilon`` symbols late, index 0 = first padding symbol."""
+        arr, base = delay(rx.samples, -epsilon * self.L)
+        return arr[rx.origin - base :: self.L]
+
+    def receive(self, symbols: np.ndarray, epsilon: float) -> np.ndarray:
+        """Noiseless front end sampled at phase ``epsilon``."""
+        return self.sample(self.front_end(symbols), epsilon)
 
     def noise_var(self, ebn0_db: float) -> float:
         """Complex noise variance per symbol-rate sample.
@@ -185,11 +204,6 @@ class _Chain:
             acc[: post.size] += post
         return acc
 
-    def equalizer_response(self, epsilon: float) -> np.ndarray:
-        return equivalent_response(
-            self.cfg.channel, self.cfg.frame.alpha, epsilon, self.N
-        ).h
-
     def estimation_window_start(self, frame_idx: int) -> int:
         """Guard window used for PN channel estimation (second copy when
         the guard is doubled, since the first copy shields it)."""
@@ -205,24 +219,11 @@ def _zf_equalize(Y: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _complex_pn_estimate(chain: _Chain, windows: np.ndarray) -> np.ndarray:
-    """Complex per-bin LS estimate interpolated to the FFT grid (for the
-    estimated-equalizer mode; the magnitude path lives in channel.py)."""
-    ref = np.fft.fft(chain.cfg.frame.guard_amplitude * chain.pn.chips)
-    est = np.mean(np.fft.fft(np.atleast_2d(windows), axis=1), axis=0) / ref
-    L = chain.cfg.frame.pn_len
-    f_l = np.arange(L) / L
-    f_n = np.arange(chain.N) / chain.N
-    re = np.interp(f_n, f_l, est.real, period=1.0)
-    im = np.interp(f_n, f_l, est.imag, period=1.0)
-    return re + 1j * im
-
-
 def _simulate_burst(
     chain: _Chain,
     seed_key: list[int],
     epsilon: float,
-    ebn0_db: float | None,
+    ebn0_db: float,
     h_eq: np.ndarray | None,
     pn_ref: np.ndarray,
     n_frames: int,
@@ -238,35 +239,24 @@ def _simulate_burst(
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     k, N = chain.k, chain.N
 
-    bits = rng.integers(0, 2, size=(n_frames, N * k), dtype=np.int64)
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    tx_labels = bits.reshape(n_frames, N, k) @ weights
-    data = chain.const.points[tx_labels]
-
-    frames = [build_frame(data[j], chain.pn, cfg.frame) for j in range(n_frames)]
-    symbols = np.concatenate(
-        [np.zeros(chain.pad)]
-        + [fr.samples for fr in frames]
-        + [np.zeros(chain.pad)]
-    ).astype(np.complex128)
-
-    sym = chain.receive(symbols, epsilon)
+    tx_labels = chain.draw_labels(rng, n_frames)
+    sym = chain.receive(chain.stream(chain.const.points[tx_labels]), epsilon)
     data_sym = sym[: pn_ref.size] - pn_ref
 
-    measured = list(range(1, n_frames - 1)) if n_frames >= 3 else list(range(n_frames))
+    measured = range(1, n_frames - 1)
     margin = chain.fold_margin(n_frames)
-    sigma = 0.0 if ebn0_db is None else math.sqrt(chain.noise_var(ebn0_db) / 2.0)
+    sigma = math.sqrt(chain.noise_var(ebn0_db) / 2.0)
 
     def noise(size: int) -> np.ndarray:
-        if sigma == 0.0:
-            return np.zeros(size, dtype=np.complex128)
         return sigma * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
     if h_eq is None:  # estimated-equalizer mode
         starts = [chain.estimation_window_start(j) for j in measured]
         pn_len = cfg.frame.pn_len
         windows = np.stack([sym[s : s + pn_len] + noise(pn_len) for s in starts])
-        h_eq = _complex_pn_estimate(chain, windows)
+        h_eq = estimate_complex_response_from_pn(
+            windows, chain.pn, N, cfg.frame.guard_amplitude
+        )
 
     bit_errors = 0
     axis_errors = 0
@@ -304,10 +294,10 @@ def _run_point(
     cfg = chain.cfg
     mc = cfg.mc
     B = mc.frames_per_burst
-    if B < 3:
-        raise ConfigError("frames_per_burst must be >= 3 (edge frames are skipped)")
-    pn_ref = chain.receive(chain.guard_symbols(B), epsilon)
-    h_eq = chain.equalizer_response(epsilon) if mc.equalizer == "known" else None
+    pn_ref = chain.receive(chain.stream(np.zeros((B, chain.N))), epsilon)
+    h_eq = None  # estimated from each burst's guards
+    if mc.equalizer == "known":
+        h_eq = equivalent_response(cfg.channel, cfg.frame.alpha, epsilon, chain.N).h
 
     bit_errors = bits = axis_errors = axes = 0
     burst_idx = 0
@@ -392,13 +382,9 @@ def measure_chain_response(cfg: ScenarioConfig, epsilon: float) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0DE]))
     labels = rng.integers(0, chain.const.order, size=chain.N)
     data = chain.const.points[labels]
-    frame = build_frame(data, chain.pn, cfg.frame)
-    symbols = np.concatenate(
-        [np.zeros(chain.pad), frame.samples, np.zeros(chain.pad)]
-    ).astype(np.complex128)
 
-    sym = chain.receive(symbols, epsilon)
-    pn_ref = chain.receive(chain.guard_symbols(1), epsilon)
+    sym = chain.receive(chain.stream(data[None]), epsilon)
+    pn_ref = chain.receive(chain.stream(np.zeros((1, chain.N))), epsilon)
     data_sym = sym[: pn_ref.size] - pn_ref
     acc = chain.fold_body(data_sym, chain.pad + chain.G, chain.fold_margin(1))
     return np.fft.fft(acc) / data
@@ -525,33 +511,10 @@ def run_str_baseline(
     chain = _Chain(cfg)
     eps = cfg.epsilon if injected_epsilon is None else injected_epsilon
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57D]))
-    k, N = chain.k, chain.N
-
-    bits = rng.integers(0, 2, size=(n_frames, N * k), dtype=np.int64)
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    labels = bits.reshape(n_frames, N, k) @ weights
-    frames = [
-        build_frame(chain.const.points[labels[j]], chain.pn, cfg.frame)
-        for j in range(n_frames)
-    ]
-    symbols = np.concatenate(
-        [np.zeros(chain.pad)]
-        + [fr.samples for fr in frames]
-        + [np.zeros(chain.pad)]
-    ).astype(np.complex128)
-
-    tx = shape_symbols(symbols, chain.L, chain.taps)
-    if not cfg.channel.is_identity:
-        tx = apply_channel(tx, cfg.channel)
-    samples = add_awgn(
-        tx.samples, cfg.ref_ebn0, k, chain.L, rng, signal_power=chain.body_power_ovs
-    )
-    rx = apply_fir(SignalBuffer(samples, tx.sps, tx.origin), chain.taps)
+    labels = chain.draw_labels(rng, n_frames)
+    rx = chain.front_end(chain.stream(chain.const.points[labels]), cfg.ref_ebn0, rng)
     # the injected phase delays the waveform seen by the tracker
-    shift = eps * chain.L
-    base = int(round(shift))
-    mu = shift - base
-    arr = rx.samples if abs(mu) < 1e-12 else fractional_delay(rx.samples, mu)
+    arr, base = delay(rx.samples, eps * chain.L)
     if base:
         arr = np.roll(arr, base)
         if base > 0:
@@ -609,41 +572,17 @@ def _pn_estimated_responses(
     chain = _Chain(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
     B = max(cfg.mc.frames_per_burst, 4)
-    k, N = chain.k, chain.N
-    bits = rng.integers(0, 2, size=(B, N * k), dtype=np.int64)
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    labels = bits.reshape(B, N, k) @ weights
-    frames = [
-        build_frame(chain.const.points[labels[j]], chain.pn, cfg.frame)
-        for j in range(B)
-    ]
-    symbols = np.concatenate(
-        [np.zeros(chain.pad)]
-        + [fr.samples for fr in frames]
-        + [np.zeros(chain.pad)]
-    ).astype(np.complex128)
+    labels = chain.draw_labels(rng, B)
+    rx = chain.front_end(chain.stream(chain.const.points[labels]), cfg.ref_ebn0, rng)
 
-    tx = shape_symbols(symbols, chain.L, chain.taps)
-    if not cfg.channel.is_identity:
-        tx = apply_channel(tx, cfg.channel)
-    noisy = add_awgn(
-        tx.samples, cfg.ref_ebn0, k, chain.L, rng, signal_power=chain.body_power_ovs
-    )
-    rx = apply_fir(SignalBuffer(noisy, tx.sps, tx.origin), chain.taps)
-
+    starts = [chain.estimation_window_start(j) for j in range(1, B - 1)]
     out: dict[float, EquivResponse] = {}
     for eps in grid.phases:
-        shift = float(eps) * chain.L
-        base = int(round(shift))
-        mu = shift - base
-        arr = rx.samples if abs(mu) < 1e-12 else fractional_delay(rx.samples, -mu)
-        sym = arr[rx.origin + base :: chain.L]
-        starts = [chain.estimation_window_start(j) for j in range(1, B - 1)]
+        sym = chain.sample(rx, float(eps))
         windows = np.stack([sym[s : s + cfg.frame.pn_len] for s in starts])
-        est = estimate_response_from_pn(
-            windows, chain.pn, N, guard_amplitude=cfg.frame.guard_amplitude
+        out[float(eps)] = estimate_response_from_pn(
+            windows, chain.pn, chain.N, guard_amplitude=cfg.frame.guard_amplitude
         )
-        out[float(eps)] = est
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .channel import wrap_phase
-from .dsp import fractional_delay
+from .dsp import delay
 from .frame import PnSequence
 
 __all__ = [
@@ -86,15 +86,6 @@ class StrLoopState:
             raise ValueError("phase estimate must be finite")
 
 
-def _apply_correction(segment: np.ndarray, delay: float) -> tuple[np.ndarray, int]:
-    """Delay a segment by ``delay`` samples; returns (buffer, index shift)."""
-    base = int(round(delay))
-    mu = delay - base
-    if abs(mu) < 1e-12:
-        return np.asarray(segment, dtype=np.complex128), base
-    return fractional_delay(segment, mu), base
-
-
 def str_track(
     rx: np.ndarray,
     pn: PnSequence,
@@ -126,7 +117,7 @@ def str_track(
         stop = start + kernel_len + 2 * pad
         if start < 0 or stop > rx.size:
             raise ValueError(f"frame {i} correlation window falls outside buffer")
-        segment, base = _apply_correction(rx[start:stop], state.phase_estimate)
+        segment, base = delay(rx[start:stop], state.phase_estimate)
         trace = correlate_pn(segment, pn, n_upsam)
         err = timing_error(trace)
         state.error_history.append(err)

@@ -73,6 +73,8 @@ class TestConfigFiles:
             ("ebn0_db = 6, 8", "ebn0_db = 10, 6", "sorted"),
             ("min_bits = 20000", "min_bits = 20000\nequalizer = psychic",
              "equalizer"),
+            ("max_frames = 400", "max_frames = 400\nframes_per_burst = 2",
+             "frames_per_burst"),
         ]:
             path = tmp_path / "bad.cfg"
             path.write_text(MINIMAL.replace(old, new))

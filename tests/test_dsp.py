@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from tdslink.dsp import (
-    RateError,
     SignalBuffer,
     SrrcSpec,
-    dft,
-    downsample,
+    delay,
     fractional_delay,
-    idft,
     qfunc,
     raised_cosine_response,
     srrc_taps,
@@ -169,33 +166,19 @@ class TestResampling:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         L = 2
-        X = dft(x)
-        Xup = dft(upsample(SignalBuffer(x), L).samples)
+        X = np.fft.fft(x)
+        Xup = np.fft.fft(upsample(SignalBuffer(x), L).samples)
         assert np.allclose(Xup, np.tile(X, L), atol=1e-10)
 
-    def test_downsample_offsets(self):
-        buf = SignalBuffer(np.array([1.0, 0.0, 2.0, 0.0]), sps=2)
-        assert np.array_equal(downsample(buf, 2, 0).samples, [1, 2])
-        assert np.array_equal(downsample(buf, 2, 1).samples, [0, 0])
-
     def test_round_trip(self):
+        # decimating by slicing at symbol spacing undoes the zero-stuffing
         rng = np.random.default_rng(1)
         x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        back = downsample(upsample(SignalBuffer(x), 4), 4, 0)
-        assert np.array_equal(back.samples, x)
+        assert np.array_equal(upsample(SignalBuffer(x), 4).samples[::4], x)
 
     def test_rate_tag_enforcement(self):
-        with pytest.raises(RateError):
+        with pytest.raises(ValueError):
             upsample(SignalBuffer(np.ones(4), sps=2), 2)
-        with pytest.raises(RateError):
-            downsample(SignalBuffer(np.ones(4), sps=1), 2)
-
-    def test_downsample_offset_range(self):
-        buf = SignalBuffer(np.ones(8), sps=4)
-        with pytest.raises(ValueError):
-            downsample(buf, 4, 4)
-        with pytest.raises(ValueError):
-            downsample(buf, 4, -1)
 
     def test_buffer_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -262,6 +245,33 @@ class TestFractionalDelay:
             fractional_delay(np.ones(8), 0.75)
 
 
+class TestDelay:
+    @given(st.integers(min_value=-50, max_value=50))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_delay_is_a_pure_index_shift(self, d):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        for whole in (d, float(d)):
+            y, base = delay(x, whole)
+            assert base == d
+            assert np.array_equal(y, x)
+
+    @given(st.floats(min_value=-6.0, max_value=6.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bandlimited_pulse_peak_moves_by_delay(self, d):
+        # a Gaussian pulse of 3-sample width has no content above ~0.3 of
+        # the sample rate; its energy centroid is its peak
+        n = np.arange(128)
+        centre, width = 60.0, 3.0
+        x = np.exp(-0.5 * ((n - centre) / width) ** 2)
+        y, base = delay(x, d)
+        expected = np.exp(-0.5 * ((n + base - centre - d) / width) ** 2)
+        assert np.max(np.abs(y - expected)) < 1e-5
+        power = np.abs(y) ** 2
+        peak = np.sum((n + base) * power) / np.sum(power)
+        assert peak == pytest.approx(centre + d, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian tail
 # ---------------------------------------------------------------------------
@@ -294,31 +304,3 @@ class TestQfunc:
         assert np.all(np.diff(vals) < 0)
         assert np.all(vals > 0)
         assert np.all(vals <= 0.5)
-
-
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-
-class TestDft:
-    def test_impulse(self):
-        assert np.allclose(dft(np.array([1.0, 0, 0, 0])), np.ones(4))
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.max(np.abs(idft(dft(x)) - x)) < 1e-12
-
-    def test_parseval(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        lhs = np.sum(np.abs(x) ** 2)
-        rhs = np.sum(np.abs(dft(x)) ** 2) / 64
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            dft(np.ones(12))
-        with pytest.raises(ValueError):
-            idft(np.ones(7))

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdslink.analysis import default_phase_grid
 from tdslink.channel import AWGN_PROFILE, ChannelProfile, awgn_response
@@ -12,6 +13,7 @@ from tdslink.dsp import qfunc
 from tdslink.frame import FrameConfig
 from tdslink.montecarlo import (
     Source,
+    _Chain,
     grid_search_ber_oracle,
     measure_chain_response,
     run_criterion,
@@ -166,6 +168,24 @@ class TestChainResponse:
             ref = awgn_response(0.05, eps, np.arange(256) / 256)
             err = np.linalg.norm(measured - ref) / np.linalg.norm(ref)
             assert 20 * np.log10(err) < -50.0
+
+
+@pytest.fixture(scope="module")
+def noisy_front_end():
+    cfg = _cfg(channel=ChannelProfile(delays=[0.0, 0.8], gains=[1.0, 0.4j]))
+    chain = _Chain(cfg)
+    rng = np.random.default_rng(3)
+    data = chain.const.points[chain.draw_labels(rng, 3)]
+    return chain, chain.front_end(chain.stream(data), 10.0, rng)
+
+
+class TestPhaseSampling:
+    @given(st.integers(min_value=-64, max_value=64))
+    @settings(max_examples=30, deadline=None)
+    def test_one_symbol_later_is_one_index_later(self, noisy_front_end, k):
+        chain, rx = noisy_front_end
+        eps = k / 128  # dyadic, so eps * L and (eps + 1) * L are exact
+        assert np.array_equal(chain.sample(rx, eps + 1), chain.sample(rx, eps)[1:])
 
 
 class TestEstimatedEqualizer:
