@@ -10,9 +10,13 @@ for bit:
 
 The check set covers every Monte-Carlo caller at small budgets:
 ``run_mc_ber`` point counts (known and estimated equalizer, multipath,
-single and dual PN, AWGN qam256 and bpsk), ``measure_chain_response``,
-``run_str_baseline``, the PN-estimated responses and ``run_criterion``
-with both estimators.  A dump takes a few seconds.  Only load dumps this
+single and dual PN, AWGN qam256 and bpsk, the benchmark's N = 1024
+dual-PN longecho geometry, two samples per symbol),
+``measure_chain_response``, ``run_str_baseline``, the PN-estimated
+responses, ``run_criterion`` with both estimators, and ``detect_labels``
+on fixed random symbols and on a grid of levels, midpoints between
+adjacent levels and values beyond the outermost level, for every
+constellation.  A dump takes a few seconds.  Only load dumps this
 script wrote: they are pickles.
 """
 
@@ -30,7 +34,7 @@ def dump(src: str, out: str) -> None:
     from tdslink.analysis import default_phase_grid
     from tdslink.channel import AWGN_PROFILE, load_profile
     from tdslink.config import CriterionOptions, McConfig, ScenarioConfig
-    from tdslink.frame import FrameConfig
+    from tdslink.frame import FrameConfig, detect_labels, make_constellation
     from tdslink.montecarlo import (
         _pn_estimated_responses,
         measure_chain_response,
@@ -68,6 +72,13 @@ def dump(src: str, out: str) -> None:
                            epsilon=0.25, ebn0_sweep=(20.0,), srrc_span=32),
         "awgn_bpsk": cfg(frame=FrameConfig(n_fft=512, pn_len=64, modulation="bpsk"),
                          epsilon=-0.4, ebn0_sweep=(4.0, 6.0)),
+        "estimated_longecho_n1024": cfg(frame=FrameConfig(n_fft=1024, pn_len=128),
+                                        channel=longecho, epsilon=0.3,
+                                        mc=mc(equalizer="estimated", max_frames=16),
+                                        ebn0_sweep=(12.0,)),
+        "known_threeray_upsam2": cfg(frame=FrameConfig(n_fft=256, pn_len=64, n_upsam=2),
+                                     channel=threeray, epsilon=-0.45, srrc_span=8,
+                                     ebn0_sweep=(12.0,)),
     }
     for name, c in points.items():
         res[f"mc/{name}"] = [counts(p) for p in run_mc_ber(c).points]
@@ -93,6 +104,18 @@ def dump(src: str, out: str) -> None:
             rep.chosen_phase, counts(rep.chosen_point), rep.str_report.epsilon_hat,
             counts(rep.str_point), rep.oracle_phase,
             {eps: counts(p) for eps, p in rep.oracle_points.items()})
+    for name in ("bpsk", "qam16", "qam64", "qam256"):
+        const = make_constellation(name)
+        rng = np.random.default_rng(np.random.SeedSequence([11, const.order]))
+        noisy = const.points[rng.integers(0, const.order, 4096)] + 0.1 * (
+            rng.standard_normal(4096) + 1j * rng.standard_normal(4096))
+        res[f"detect/{name}/random"] = detect_labels(noisy, const)
+        lev = np.unique(const.points.real)
+        axis = np.concatenate([lev, (lev[:-1] + lev[1:]) / 2,
+                               [lev[0] - 0.5, lev[-1] + 0.5]])
+        im = axis if const.order > 2 else np.zeros(1)
+        grid = (axis[:, None] + 1j * im[None, :]).ravel()
+        res[f"detect/{name}/grid"] = detect_labels(grid, const)
     with open(out, "wb") as fh:
         pickle.dump(res, fh)
     print(f"{len(res)} entries written to {out}")

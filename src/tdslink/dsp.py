@@ -15,6 +15,7 @@ from scipy import special
 from scipy.signal import fftconvolve
 
 __all__ = [
+    "INTERP_TAPS",
     "SignalBuffer",
     "SrrcSpec",
     "apply_fir",
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+# Length of the fractional-delay interpolator; it reaches INTERP_TAPS // 2
+# samples to either side.
+INTERP_TAPS = 63
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,9 @@ def apply_fir(buf: SignalBuffer, taps: np.ndarray) -> SignalBuffer:
     return SignalBuffer(y, sps=buf.sps, origin=buf.origin + (len(taps) - 1) // 2)
 
 
-def fractional_delay(x: np.ndarray, mu: float, n_taps: int = 63) -> np.ndarray:
+def fractional_delay(
+    x: np.ndarray, mu: float, n_taps: int = INTERP_TAPS
+) -> np.ndarray:
     """Delay a buffer by ``mu`` samples, |mu| <= 0.5, at its own rate.
 
     Blackman-windowed sinc interpolator with compensated group delay:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +125,29 @@ class Constellation:
     def levels_per_axis(self) -> int:
         return int(round(math.sqrt(self.order)))
 
+    @cached_property
+    def _axis_slicer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-axis decision tables of a square QAM constellation.
+
+        ``sums[p]`` is the rounded sum of the coordinates of levels ``p``
+        and ``p + 1``, so twice a coordinate compares with it exactly.
+        Where twice the coordinate equals ``sums[p]``, ``up[p]`` says
+        whether the exact nearest level is ``p + 1``: the exact midpoint
+        lies below, or it is the midpoint and level ``p + 1`` has the
+        lower axis label.  ``code[p]`` is the Gray axis label of level
+        ``p``.  A +inf sentinel ends ``sums``.
+        """
+        kappa = self.levels_per_axis
+        code = np.arange(kappa) ^ (np.arange(kappa) >> 1)
+        axis_bits = self.bits_per_symbol // 2
+        lev = self.points[code << axis_bits].real  # in-phase level values
+        sums = np.append(lev[:-1] + lev[1:], np.inf)
+        up = np.zeros(kappa, dtype=bool)
+        for p in range(kappa - 1):
+            rest = Fraction(lev[p]) + Fraction(lev[p + 1]) - Fraction(sums[p])
+            up[p] = rest < 0 or (rest == 0 and code[p + 1] < code[p])
+        return sums, up, code
+
 
 _MODULATION_ORDERS = {"bpsk": 2, "qam16": 16, "qam64": 64, "qam256": 256}
 
@@ -151,21 +176,28 @@ def make_constellation(name: str) -> Constellation:
 
 
 def detect_labels(symbols: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Hard decisions: index of the nearest constellation point.
+    """Hard decisions: label of the nearest constellation point.
 
-    Exact ties (a symbol equidistant from several points) resolve to the
-    lowest label index, which argmin over the label-ordered table gives
-    for free.
+    BPSK is a sign test on the real part.  Square QAM is sliced one axis
+    at a time: the squared distance splits into an in-phase and a
+    quadrature term, so the nearest point pairs the nearest Gray PAM
+    level of each axis.  Decisions are exact for the floating-point
+    input; a symbol exactly equidistant from several points goes to the
+    lowest label, i.e. the lower axis label on each tied axis.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    points = constellation.points
-    out = np.empty(symbols.size, dtype=np.int64)
-    chunk = 1 << 14
-    for lo in range(0, symbols.size, chunk):
-        part = symbols[lo : lo + chunk]
-        d2 = np.abs(part[:, None] - points[None, :]) ** 2
-        out[lo : lo + chunk] = np.argmin(d2, axis=1)
-    return out
+    if constellation.order == 2:
+        return (symbols.real < 0).astype(np.int64)
+    sums, up, code = constellation._axis_slicer
+
+    def axis(x: np.ndarray) -> np.ndarray:
+        x2 = 2.0 * x
+        level = np.searchsorted(sums, x2)
+        level += (sums[level] == x2) & up[level]
+        return code[level]
+
+    axis_bits = constellation.bits_per_symbol // 2
+    return (axis(symbols.real) << axis_bits) | axis(symbols.imag)
 
 
 @dataclass(frozen=True)

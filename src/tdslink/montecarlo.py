@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from .analysis import (
     BerMode,
@@ -43,7 +44,7 @@ from .channel import (
     estimate_response_from_pn,
 )
 from .config import ScenarioConfig, scenario_fingerprint
-from .dsp import SignalBuffer, apply_fir, delay, srrc_taps
+from .dsp import INTERP_TAPS, SignalBuffer, apply_fir, delay, srrc_taps
 from .frame import build_frame, detect_labels, shape_symbols
 from .str_sync import StrLoopState, converged_sampling_phase, str_track
 
@@ -180,6 +181,33 @@ class _Chain:
         """Noiseless front end sampled at phase ``epsilon``."""
         return self.sample(self.front_end(symbols), epsilon)
 
+    def symbol_response(self, epsilon: float) -> np.ndarray:
+        """Symbol-rate impulse response of the noiseless front end sampled
+        at phase ``epsilon``: odd length, lag 0 in the middle.
+
+        The chain upsample -> shaping -> channel -> matched filter ->
+        sample at ``epsilon`` is linear and time-invariant at the symbol
+        rate, so :meth:`apply` with this response equals :meth:`receive`
+        wherever the stream's padding keeps the full path clear of its
+        buffer edges.  It is one unit impulse sent through
+        :meth:`receive`.  The support holds both shaping filters, the
+        channel's largest shift and two interpolators (the channel taps'
+        fractional delays, then the sampler's), plus the phase offset.
+        """
+        L = self.L
+        pre = 2 * self.cfg.srrc_span * L + 2 * (INTERP_TAPS // 2)
+        post = pre + float(np.max(self.cfg.channel.delays)) * L
+        reach = math.ceil(max(pre + epsilon * L, post - epsilon * L) / L) + 1
+        impulse = np.zeros(2 * reach + 1)
+        impulse[reach] = 1.0
+        return self.receive(impulse, epsilon)[: impulse.size]
+
+    @staticmethod
+    def apply(symbols: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Symbol stream through a :meth:`symbol_response`, indexed like
+        the stream (and like :meth:`receive`'s output)."""
+        return fftconvolve(symbols, g, mode="same")
+
     def noise_var(self, ebn0_db: float) -> float:
         """Complex noise variance per symbol-rate sample.
 
@@ -222,7 +250,7 @@ def _zf_equalize(Y: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _simulate_burst(
     chain: _Chain,
     seed_key: list[int],
-    epsilon: float,
+    g: np.ndarray,
     ebn0_db: float,
     h_eq: np.ndarray | None,
     pn_ref: np.ndarray,
@@ -230,8 +258,9 @@ def _simulate_burst(
 ) -> tuple[int, int, int, int]:
     """One independent burst; returns (bit_errors, bits, axis_errors, axes).
 
-    The waveform chain runs noiselessly; calibrated white noise enters
-    per demodulation window at the symbol rate, which is exactly what it
+    The noiseless waveform chain is the symbol-rate response ``g`` of
+    :meth:`_Chain.symbol_response`; calibrated white noise enters per
+    demodulation window at the symbol rate, which is exactly what it
     looks like after the matched filter anyway and keeps the restored
     blocks at the per-subcarrier noise level the analytic model uses.
     """
@@ -240,8 +269,8 @@ def _simulate_burst(
     k, N = chain.k, chain.N
 
     tx_labels = chain.draw_labels(rng, n_frames)
-    sym = chain.receive(chain.stream(chain.const.points[tx_labels]), epsilon)
-    data_sym = sym[: pn_ref.size] - pn_ref
+    sym = chain.apply(chain.stream(chain.const.points[tx_labels]), g)
+    data_sym = sym - pn_ref
 
     measured = range(1, n_frames - 1)
     margin = chain.fold_margin(n_frames)
@@ -294,7 +323,8 @@ def _run_point(
     cfg = chain.cfg
     mc = cfg.mc
     B = mc.frames_per_burst
-    pn_ref = chain.receive(chain.stream(np.zeros((B, chain.N))), epsilon)
+    g = chain.symbol_response(epsilon)
+    pn_ref = chain.apply(chain.stream(np.zeros((B, chain.N))), g)
     h_eq = None  # estimated from each burst's guards
     if mc.equalizer == "known":
         h_eq = equivalent_response(cfg.channel, cfg.frame.alpha, epsilon, chain.N).h
@@ -308,7 +338,7 @@ def _run_point(
         return _simulate_burst(
             chain,
             [cfg.seed, ebn0_idx, phase_idx, idx],
-            epsilon,
+            g,
             ebn0_db,
             h_eq,
             pn_ref,

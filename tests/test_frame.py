@@ -1,5 +1,7 @@
 """Tests for PN generation, QAM mapping, and frame assembly."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,15 @@ def _reference_lfsr_bits(poly: int, seed: int, length: int) -> list[int]:
             fb ^= state[t]
         state = state[1:] + [fb]
     return out
+
+
+def _nearest_label(symbol: complex, points: np.ndarray) -> int:
+    """Brute-force reference decision: the lowest label among the points
+    nearest to ``symbol``, with distances in exact rational arithmetic on
+    the floating-point values so that ties are exact."""
+    x, y = Fraction(symbol.real), Fraction(symbol.imag)
+    d2 = [(x - Fraction(p.real)) ** 2 + (y - Fraction(p.imag)) ** 2 for p in points]
+    return d2.index(min(d2))
 
 
 class TestPnGeneration:
@@ -128,15 +139,46 @@ class TestConstellations:
         jitter = 0.04 * np.exp(2j * np.pi * rng.random(200))
         assert np.array_equal(detect_labels(syms + jitter, const), labels)
 
-    def test_midpoint_tie_goes_to_lower_label(self):
-        const = make_constellation("qam16")
+    @pytest.mark.parametrize(
+        "name, direction",
+        [("bpsk", "horizontal")]
+        + [(n, d) for n in ("qam16", "qam64", "qam256") for d in ("horizontal", "vertical")],
+    )
+    def test_midpoint_tie_goes_to_lower_label(self, name, direction):
+        const = make_constellation(name)
         pts = const.points
-        # midway between two horizontally adjacent points
-        d = np.abs(pts[:, None] - pts[None, :])
-        min_d = d[d > 0].min()
-        i, j = np.argwhere(np.isclose(d, min_d))[0]
-        mid = (pts[i] + pts[j]) / 2
-        assert detect_labels(np.array([mid]), const)[0] == min(i, j)
+        # neighbours straddling zero along the direction: exact midpoints
+        along, across = pts.real, pts.imag
+        if direction == "vertical":
+            along, across = across, along
+        inner = np.min(np.abs(along))
+        pairs = [(i, j) for i in np.flatnonzero(along == -inner)
+                 for j in np.flatnonzero(along == inner) if across[i] == across[j]]
+        assert len(pairs) == (1 if name == "bpsk" else const.levels_per_axis)
+        mids = np.array([(pts[i] + pts[j]) / 2 for i, j in pairs])
+        assert np.array_equal(detect_labels(mids, const), [min(i, j) for i, j in pairs])
+
+    @pytest.mark.parametrize("name", ["bpsk", "qam16", "qam64", "qam256"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_slicing_matches_brute_force_nearest_point(self, name, data):
+        const = make_constellation(name)
+        lev = np.unique(const.points.real)
+        k = lev.size
+        midpoint = st.integers(0, k - 2).map(lambda p: (lev[p] + lev[p + 1]) / 2)
+        beyond = st.floats(0.0, 2.0)  # distance past the outermost level
+        coordinate = st.one_of(
+            st.integers(0, k - 1).map(lambda p: lev[p]),
+            midpoint,
+            beyond.map(lambda t: lev[-1] + t),
+            beyond.map(lambda t: lev[0] - t),
+            st.floats(lev[0] - 0.1, lev[-1] + 0.1),
+        )
+        syms = [data.draw(st.builds(complex, midpoint, midpoint))]
+        syms += data.draw(st.lists(st.builds(complex, coordinate, coordinate),
+                                   min_size=1, max_size=8))
+        expected = [_nearest_label(s, const.points) for s in syms]
+        assert detect_labels(np.array(syms), const).tolist() == expected
 
     def test_rejects_unknown_modulation(self):
         with pytest.raises(ValueError):

@@ -188,6 +188,32 @@ class TestPhaseSampling:
         assert np.array_equal(chain.sample(rx, eps + 1), chain.sample(rx, eps)[1:])
 
 
+_profiles = st.lists(
+    st.tuples(st.floats(0.0, 12.0),
+              st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0)),
+    min_size=1, max_size=5, unique_by=lambda tap: tap[0],
+).map(lambda taps: ChannelProfile(delays=[d for d, _ in sorted(taps)],
+                                  gains=[g for _, g in sorted(taps)]))
+
+
+class TestSymbolResponse:
+    @given(profile=_profiles, eps=st.floats(-0.5, 0.5),
+           n_upsam=st.sampled_from([2, 4, 8]), span=st.sampled_from([8, 16, 32]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_full_path_where_the_receiver_reads(self, profile, eps, n_upsam, span):
+        cfg = _cfg(channel=profile, srrc_span=span,
+                   frame=FrameConfig(n_fft=128, pn_len=32, n_upsam=n_upsam))
+        chain = _Chain(cfg)
+        rng = np.random.default_rng(5)
+        stream = chain.stream(chain.const.points[chain.draw_labels(rng, 3)])
+        # estimation window of the measured frame through its folded body
+        lo = chain.estimation_window_start(1)
+        hi = chain.pad + chain.F + chain.G + chain.N + chain.fold_margin(3)
+        full = chain.receive(stream, eps)[lo:hi]
+        fast = chain.apply(stream, chain.symbol_response(eps))[lo:hi]
+        assert np.max(np.abs(fast - full)) <= 1e-12 * np.max(np.abs(full))
+
+
 class TestEstimatedEqualizer:
     def test_tracks_known_equalizer(self):
         known = _cfg(
