@@ -11,7 +11,7 @@ for bit:
 The check set covers every Monte-Carlo caller at small budgets:
 ``run_mc_ber`` point counts (known and estimated equalizer, multipath,
 single and dual PN, AWGN qam256 and bpsk, the benchmark's N = 1024
-dual-PN longecho geometry, two samples per symbol),
+dual-PN longecho geometry, two samples per symbol, one-frame bursts),
 ``measure_chain_response``, ``run_str_baseline``, the PN-estimated
 responses, ``run_criterion`` with both estimators, and ``detect_labels``
 on fixed random symbols and on a grid of levels, midpoints between
@@ -79,6 +79,8 @@ def dump(src: str, out: str) -> None:
         "known_threeray_upsam2": cfg(frame=FrameConfig(n_fft=256, pn_len=64, n_upsam=2),
                                      channel=threeray, epsilon=-0.45, srrc_span=8,
                                      ebn0_sweep=(12.0,)),
+        "ring_one_frame": cfg(channel=threeray, epsilon=0.2, mc=mc(frames_per_burst=1),
+                              ebn0_sweep=(12.0,)),
     }
     for name, c in points.items():
         res[f"mc/{name}"] = [counts(p) for p in run_mc_ber(c).points]

@@ -19,11 +19,17 @@ import numpy as np
 
 from . import __version__
 from .analysis import BerMode, default_phase_grid
-from .channel import awgn_response, equivalent_response
-from .config import ConfigError, ScenarioConfig, load_scenario, scenario_fingerprint
+from .config import (
+    ConfigError,
+    ScenarioConfig,
+    _float_list,
+    load_scenario,
+    scenario_fingerprint,
+)
 from .montecarlo import (
     CSV_HEADER,
     BerCurve,
+    _response_for,
     run_criterion,
     run_mc_ber,
     run_str_baseline,
@@ -77,16 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     changes: dict = {}
     if args.ebn0:
-        sweep = tuple(float(v) for v in args.ebn0.replace(",", " ").split())
-        changes["ebn0_sweep"] = tuple(sorted(sweep))
+        changes["ebn0_sweep"] = tuple(sorted(_float_list(args.ebn0, "--ebn0")))
     if args.epsilon is not None:
         changes["epsilon"] = args.epsilon
     if args.seed is not None:
         changes["seed"] = args.seed
     if args.modulation:
-        changes["frame"] = dataclasses.replace(
-            cfg.frame, modulation=args.modulation.strip().lower()
-        )
+        try:
+            changes["frame"] = dataclasses.replace(
+                cfg.frame, modulation=args.modulation.strip().lower()
+            )
+        except ValueError as exc:
+            raise ConfigError(f"--modulation: {exc}") from exc
     return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
@@ -164,18 +172,14 @@ def _cmd_criterion(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
 
 def _cmd_response(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
     if args.phases:
-        phases = [float(v) for v in args.phases.replace(",", " ").split()]
+        phases = list(_float_list(args.phases, "--phases"))
     else:
         phases = _grid_phases(cfg)
     n = cfg.frame.n_fft
     f = np.arange(n) / n
     rows = []
     for eps in phases:
-        if cfg.channel.is_identity:
-            h = awgn_response(cfg.frame.alpha, eps, f)
-        else:
-            h = equivalent_response(cfg.channel, cfg.frame.alpha, eps, n).h
-        mag = np.abs(h)
+        mag = np.abs(_response_for(cfg, eps).h)
         rows.extend(
             f"{f[i]:.10g},{eps:.10g},{mag[i]:.10g}" for i in range(n)
         )
@@ -183,6 +187,8 @@ def _cmd_response(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
 
 
 def _cmd_str_baseline(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
+    if args.frames < 1:
+        raise ConfigError(f"--frames must be positive, got {args.frames}")
     report = run_str_baseline(cfg, n_frames=args.frames)
     rows = [
         f"{i},{err:.10g},{report.epsilon_hat:.10g}"

@@ -36,8 +36,11 @@ class ConfigError(ValueError):
 class McConfig:
     """Monte-Carlo stopping rules and execution knobs.
 
-    Stopping conditions are evaluated every ``chunk_bursts`` bursts, a
-    fixed granularity that keeps results independent of worker count.
+    A burst is a ring of ``frames_per_burst`` frames, each of them
+    measured; ``max_frames`` caps the measured frames of a point (whole
+    bursts only).  Stopping conditions are evaluated every
+    ``chunk_bursts`` bursts, a fixed granularity that keeps results
+    independent of worker count.
     """
 
     min_bits: int = 2_000_000
@@ -51,12 +54,10 @@ class McConfig:
     def __post_init__(self):
         if self.min_bits < 1 or self.min_errors < 1:
             raise ConfigError("min_bits and min_errors must be positive")
+        if self.frames_per_burst < 1:
+            raise ConfigError("frames_per_burst must be positive")
         if self.max_frames < self.frames_per_burst:
             raise ConfigError("max_frames must cover at least one burst")
-        if self.frames_per_burst < 3:
-            raise ConfigError(
-                "frames_per_burst must be >= 3 (edge frames are not measured)"
-            )
         if self.chunk_bursts < 1:
             raise ConfigError("chunk_bursts must be positive")
         if self.workers < 1:

@@ -61,10 +61,6 @@ class SignalBuffer:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2))
-
 
 @dataclass(frozen=True)
 class SrrcSpec:

@@ -51,10 +51,6 @@ class PnSequence:
     poly: int
     seed: int
 
-    @property
-    def period(self) -> int:
-        return 2 ** (self.poly.bit_length() - 1) - 1
-
 
 def default_pn_poly(length: int) -> int:
     """Generator polynomial whose period best matches ``length``.

@@ -8,6 +8,15 @@ Per-subcarrier gains then match the analytic equivalent response to the
 shaping-filter truncation floor, which is what makes theory-vs-simulation
 comparisons meaningful.
 
+A burst's frames form a ring: the noiseless chain is one circular
+convolution of the frames with the phase's symbol-rate impulse response,
+so every frame has neighbours on both sides and every frame is measured,
+with one fold, FFT, slice and bit count per burst.  The oversampled
+waveform path, which zero-pads its stream, runs only to derive that
+response, where noise must enter before the matched filter (the
+timing-recovery baseline and the PN estimator), and as the oracle the
+response is checked against.
+
 Symbol errors are counted per quadrature axis (each square-QAM symbol is
 two Gray-coded PAM decisions), the same quantity
 :func:`tdslink.analysis.theoretical_ser` computes.
@@ -22,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .analysis import (
     BerMode,
@@ -127,14 +135,10 @@ class _Chain:
         max_delay = int(math.ceil(float(np.max(cfg.channel.delays))))
         # two-sided tail of the equivalent symbol-rate channel
         self.tail = 2 * cfg.srrc_span + max_delay + 10
+        # zeros the oversampled path puts around a stream before shaping
         self.pad = self.tail + 2
         # per-sample power of the shaped body at the oversampled rate
         self.body_power_ovs = 1.0 / (self.N * self.L)
-
-    def fold_margin(self, n_frames: int) -> int:
-        if n_frames == 1:
-            return self.tail
-        return min(self.tail, max(0, self.G - self.tail))
 
     def draw_labels(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
         """Random (n_frames, N) symbol labels from MSB-first random bits."""
@@ -144,11 +148,11 @@ class _Chain:
         return bits.reshape(n_frames, self.N, k) @ weights
 
     def stream(self, data_rows: np.ndarray) -> np.ndarray:
-        """Symbol stream of one frame per row of data symbols, zero-padded
-        by ``pad`` on both sides; all-zero rows give the guards alone."""
-        pad = np.zeros(self.pad)
-        frames = [build_frame(d, self.pn, self.cfg.frame).samples for d in data_rows]
-        return np.concatenate([pad, *frames, pad]).astype(np.complex128)
+        """Symbol stream of one frame per row of data symbols, back to
+        back; all-zero rows give the guards alone."""
+        return np.concatenate(
+            [build_frame(d, self.pn, self.cfg.frame).samples for d in data_rows]
+        )
 
     def front_end(
         self,
@@ -156,12 +160,13 @@ class _Chain:
         ebn0_db: float | None = None,
         rng: np.random.Generator | None = None,
     ) -> SignalBuffer:
-        """Shape, propagate and matched-filter a symbol stream.
+        """Zero-pad a symbol stream by ``pad`` on both sides, then shape,
+        propagate and matched-filter it.
 
         With ``ebn0_db`` set, white noise calibrated to the body power is
         drawn from ``rng`` and added before the matched filter.
         """
-        tx = shape_symbols(symbols, self.L, self.taps)
+        tx = shape_symbols(np.pad(symbols, self.pad), self.L, self.taps)
         if not self.cfg.channel.is_identity:
             tx = apply_channel(tx, self.cfg.channel)
         if ebn0_db is not None:
@@ -187,12 +192,13 @@ class _Chain:
 
         The chain upsample -> shaping -> channel -> matched filter ->
         sample at ``epsilon`` is linear and time-invariant at the symbol
-        rate, so :meth:`apply` with this response equals :meth:`receive`
-        wherever the stream's padding keeps the full path clear of its
-        buffer edges.  It is one unit impulse sent through
-        :meth:`receive`.  The support holds both shaping filters, the
-        channel's largest shift and two interpolators (the channel taps'
-        fractional delays, then the sampler's), plus the phase offset.
+        rate, so a ring of symbols filtered by :meth:`ring_response` of
+        this response equals :meth:`receive` run on the ring extended
+        cyclically past the response's support.
+        It is one unit impulse sent through :meth:`receive`.  The support
+        holds both shaping filters, the channel's largest shift and two
+        interpolators (the channel taps' fractional delays, then the
+        sampler's), plus the phase offset.
         """
         L = self.L
         pre = 2 * self.cfg.srrc_span * L + 2 * (INTERP_TAPS // 2)
@@ -200,13 +206,16 @@ class _Chain:
         reach = math.ceil(max(pre + epsilon * L, post - epsilon * L) / L) + 1
         impulse = np.zeros(2 * reach + 1)
         impulse[reach] = 1.0
-        return self.receive(impulse, epsilon)[: impulse.size]
+        return self.receive(impulse, epsilon)[self.pad : self.pad + impulse.size]
 
     @staticmethod
-    def apply(symbols: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Symbol stream through a :meth:`symbol_response`, indexed like
-        the stream (and like :meth:`receive`'s output)."""
-        return fftconvolve(symbols, g, mode="same")
+    def ring_response(g: np.ndarray, n: int) -> np.ndarray:
+        """DFT of a :meth:`symbol_response` wrapped onto a ring of ``n``
+        symbols: ``ifft(fft(ring) * ring_response(g, ring.size))`` is the
+        circular convolution of the ring with ``g``, indexed like it."""
+        wrapped = np.zeros(n, dtype=np.complex128)
+        np.add.at(wrapped, (np.arange(g.size) - g.size // 2) % n, g)
+        return np.fft.fft(wrapped)
 
     def noise_var(self, ebn0_db: float) -> float:
         """Complex noise variance per symbol-rate sample.
@@ -220,37 +229,33 @@ class _Chain:
         gamma = 10.0 ** (ebn0_db / 10.0)
         return 1.0 / (self.N * self.k * gamma)
 
-    def fold_body(self, sym: np.ndarray, body_start: int, margin: int) -> np.ndarray:
-        """Wrap a body window's pre/post tails back in, restoring the
-        circular convolution the per-subcarrier model assumes."""
+    def fold(self, windows: np.ndarray, margin: int) -> np.ndarray:
+        """Wrap the ``margin`` symbols on either side of each row's body
+        back into it, restoring the circular convolution the
+        per-subcarrier model assumes; rows are (N + 2 margin) long."""
         n = self.N
-        seg = sym[body_start - margin : body_start + n + margin]
-        acc = seg[margin : margin + n].copy()
-        if margin:
-            acc[n - margin :] += seg[:margin]
-            post = seg[margin + n :]
-            acc[: post.size] += post
+        acc = windows[:, margin : margin + n].copy()
+        acc[:, n - margin :] += windows[:, :margin]
+        acc[:, :margin] += windows[:, margin + n :]
         return acc
 
-    def estimation_window_start(self, frame_idx: int) -> int:
-        """Guard window used for PN channel estimation (second copy when
-        the guard is doubled, since the first copy shields it)."""
-        off = self.cfg.frame.pn_len if self.cfg.frame.dual_pn else 0
-        return self.pad + frame_idx * self.F + off
+    def estimation_windows(self, rows: np.ndarray) -> np.ndarray:
+        """Guard window of each frame row used for PN channel estimation
+        (second copy when the guard is doubled, since the first copy
+        shields it)."""
+        off = self.G - self.cfg.frame.pn_len
+        return rows[:, off : off + self.cfg.frame.pn_len]
 
 
 def _zf_equalize(Y: np.ndarray, h: np.ndarray) -> np.ndarray:
     small = np.abs(h) < 1e-12
-    safe = np.where(small, 1.0, h)
-    out = Y / safe
-    out[small] = 0.0
-    return out
+    return np.where(small, 0.0, Y / np.where(small, 1.0, h))
 
 
 def _simulate_burst(
     chain: _Chain,
     seed_key: list[int],
-    g: np.ndarray,
+    ring_h: np.ndarray,
     ebn0_db: float,
     h_eq: np.ndarray | None,
     pn_ref: np.ndarray,
@@ -258,59 +263,49 @@ def _simulate_burst(
 ) -> tuple[int, int, int, int]:
     """One independent burst; returns (bit_errors, bits, axis_errors, axes).
 
-    The noiseless waveform chain is the symbol-rate response ``g`` of
-    :meth:`_Chain.symbol_response`; calibrated white noise enters per
-    demodulation window at the symbol rate, which is exactly what it
-    looks like after the matched filter anyway and keeps the restored
-    blocks at the per-subcarrier noise level the analytic model uses.
+    The burst's frames form a ring: the noiseless waveform chain is the
+    circular convolution of the frames with the phase's symbol-rate
+    response, whose :meth:`_Chain.ring_response` over the whole burst is
+    ``ring_h``, so every frame has a neighbour on either side and every
+    frame is measured.  Calibrated white noise enters per demodulation
+    window at the symbol rate, which is exactly what it looks like after
+    the matched filter anyway and keeps the restored blocks at the
+    per-subcarrier noise level the analytic model uses.
     """
-    cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    k, N = chain.k, chain.N
+    k, N, G = chain.k, chain.N, chain.G
 
     tx_labels = chain.draw_labels(rng, n_frames)
-    sym = chain.apply(chain.stream(chain.const.points[tx_labels]), g)
-    data_sym = sym - pn_ref
-
-    measured = range(1, n_frames - 1)
-    margin = chain.fold_margin(n_frames)
+    ring = chain.stream(chain.const.points[tx_labels])
+    rows = np.fft.ifft(np.fft.fft(ring) * ring_h).reshape(n_frames, chain.F)
     sigma = math.sqrt(chain.noise_var(ebn0_db) / 2.0)
 
-    def noise(size: int) -> np.ndarray:
-        return sigma * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    def noise(shape: tuple[int, int]) -> np.ndarray:
+        return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
     if h_eq is None:  # estimated-equalizer mode
-        starts = [chain.estimation_window_start(j) for j in measured]
-        pn_len = cfg.frame.pn_len
-        windows = np.stack([sym[s : s + pn_len] + noise(pn_len) for s in starts])
+        windows = chain.estimation_windows(rows)
         h_eq = estimate_complex_response_from_pn(
-            windows, chain.pn, N, cfg.frame.guard_amplitude
+            windows + noise(windows.shape), chain.pn, N, chain.cfg.frame.guard_amplitude
         )
 
-    bit_errors = 0
-    axis_errors = 0
-    for j in measured:
-        body_start = chain.pad + j * chain.F + chain.G
-        acc = chain.fold_body(data_sym, body_start, margin) + noise(N)
-        Y = np.fft.fft(acc)
-        eq = _zf_equalize(Y, h_eq)
-        rx_labels = detect_labels(eq, chain.const)
-        diff = tx_labels[j] ^ rx_labels
-        bit_errors += int(_POPCOUNT8[diff].sum())
-        if k == 1:
-            axis_errors += int(np.count_nonzero(diff))
-        else:
-            kb = k // 2
-            mask = (1 << kb) - 1
-            axis_errors += int(
-                np.count_nonzero((tx_labels[j] >> kb) != (rx_labels >> kb))
-            )
-            axis_errors += int(
-                np.count_nonzero((tx_labels[j] & mask) != (rx_labels & mask))
-            )
-    total_bits = len(measured) * N * k
-    total_axes = len(measured) * N * (1 if k == 1 else 2)
-    return bit_errors, total_bits, axis_errors, total_axes
+    # each body with `margin` symbols of its own guard before it and of
+    # the next frame's guard after it
+    margin = min(chain.tail, max(0, G - chain.tail))
+    data = rows - pn_ref
+    windows = np.concatenate(
+        [data[:, G - margin :], np.roll(data[:, :margin], -1, axis=0)], axis=1
+    )
+    Y = np.fft.fft(chain.fold(windows, margin) + noise((n_frames, N)), axis=1)
+    rx_labels = detect_labels(_zf_equalize(Y, h_eq), chain.const)
+    diff = tx_labels ^ rx_labels
+    # per-axis decisions: the in-phase half of the label, then the
+    # quadrature half (BPSK has one axis, the whole label)
+    kb = k // 2
+    axis_errors = int(np.count_nonzero(diff >> kb))
+    axis_errors += int(np.count_nonzero(diff & ((1 << kb) - 1)))
+    symbols = n_frames * N
+    return int(_POPCOUNT8[diff].sum()), symbols * k, axis_errors, symbols * min(k, 2)
 
 
 def _run_point(
@@ -324,7 +319,11 @@ def _run_point(
     mc = cfg.mc
     B = mc.frames_per_burst
     g = chain.symbol_response(epsilon)
-    pn_ref = chain.apply(chain.stream(np.zeros((B, chain.N))), g)
+    # a guards-only ring repeats every frame, so one frame period of it
+    # is the guard reference of every row
+    guards = chain.stream(np.zeros((1, chain.N)))
+    pn_ref = np.fft.ifft(np.fft.fft(guards) * chain.ring_response(g, chain.F))
+    ring_h = chain.ring_response(g, B * chain.F)
     h_eq = None  # estimated from each burst's guards
     if mc.equalizer == "known":
         h_eq = equivalent_response(cfg.channel, cfg.frame.alpha, epsilon, chain.N).h
@@ -332,13 +331,13 @@ def _run_point(
     bit_errors = bits = axis_errors = axes = 0
     burst_idx = 0
     exhausted = False
-    max_bursts = max(1, mc.max_frames // B)
+    max_bursts = mc.max_frames // B
 
     def job(idx: int):
         return _simulate_burst(
             chain,
             [cfg.seed, ebn0_idx, phase_idx, idx],
-            g,
+            ring_h,
             ebn0_db,
             h_eq,
             pn_ref,
@@ -415,9 +414,9 @@ def measure_chain_response(cfg: ScenarioConfig, epsilon: float) -> np.ndarray:
 
     sym = chain.receive(chain.stream(data[None]), epsilon)
     pn_ref = chain.receive(chain.stream(np.zeros((1, chain.N))), epsilon)
-    data_sym = sym[: pn_ref.size] - pn_ref
-    acc = chain.fold_body(data_sym, chain.pad + chain.G, chain.fold_margin(1))
-    return np.fft.fft(acc) / data
+    start = chain.pad + chain.G - chain.tail
+    window = (sym - pn_ref)[None, start : start + chain.N + 2 * chain.tail]
+    return np.fft.fft(chain.fold(window, chain.tail)[0]) / data
 
 
 def _response_for(cfg: ScenarioConfig, epsilon: float) -> EquivResponse:
@@ -605,11 +604,11 @@ def _pn_estimated_responses(
     labels = chain.draw_labels(rng, B)
     rx = chain.front_end(chain.stream(chain.const.points[labels]), cfg.ref_ebn0, rng)
 
-    starts = [chain.estimation_window_start(j) for j in range(1, B - 1)]
     out: dict[float, EquivResponse] = {}
     for eps in grid.phases:
         sym = chain.sample(rx, float(eps))
-        windows = np.stack([sym[s : s + cfg.frame.pn_len] for s in starts])
+        rows = sym[chain.pad : chain.pad + B * chain.F].reshape(B, chain.F)
+        windows = chain.estimation_windows(rows[1:-1])
         out[float(eps)] = estimate_response_from_pn(
             windows, chain.pn, chain.N, guard_amplitude=cfg.frame.guard_amplitude
         )

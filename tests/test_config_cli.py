@@ -73,7 +73,7 @@ class TestConfigFiles:
             ("ebn0_db = 6, 8", "ebn0_db = 10, 6", "sorted"),
             ("min_bits = 20000", "min_bits = 20000\nequalizer = psychic",
              "equalizer"),
-            ("max_frames = 400", "max_frames = 400\nframes_per_burst = 2",
+            ("max_frames = 400", "max_frames = 400\nframes_per_burst = 0",
              "frames_per_burst"),
         ]:
             path = tmp_path / "bad.cfg"
@@ -150,6 +150,19 @@ class TestCli:
         path.write_text("[frame]\nn_fft = seven\n")
         rc = main(["theory", "--config", str(path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--ebn0", "abc"],
+        ["theory", "--modulation", "qam32"],
+        ["str-baseline", "--frames", "0"],
+        ["response", "--phases", "0,zero"],
+    ])
+    def test_bad_override_exits_2(self, cfg_file, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        rc = main(argv + ["--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["theory", "--config", str(tmp_path / "gone.cfg")])

@@ -79,11 +79,16 @@ class TestAccounting:
         assert curve.points[0].exhausted
         assert curve.flagged
 
-    def test_frames_per_burst_must_leave_measured_frames(self):
-        cfg = _cfg(mc=McConfig(min_bits=1000, min_errors=1, max_frames=10,
-                               frames_per_burst=3))
+    @pytest.mark.parametrize("frames_per_burst", [1, 3, 4])
+    def test_every_frame_is_measured(self, frames_per_burst):
+        # a budget no point can meet, so the point stops at max_frames
+        cfg = _cfg(mc=McConfig(min_bits=10**9, min_errors=10**6, max_frames=10,
+                               frames_per_burst=frames_per_burst, chunk_bursts=3))
         p = run_mc_ber(cfg).points[0]
-        assert p.bits > 0  # burst of 3 measures its middle frame
+        frames = (10 // frames_per_burst) * frames_per_burst
+        assert p.exhausted
+        assert p.bits == frames * 256 * 4
+        assert p.axes == frames * 256 * 2
 
 
 class TestAgainstTheory:
@@ -198,19 +203,23 @@ _profiles = st.lists(
 
 class TestSymbolResponse:
     @given(profile=_profiles, eps=st.floats(-0.5, 0.5),
-           n_upsam=st.sampled_from([2, 4, 8]), span=st.sampled_from([8, 16, 32]))
+           n_upsam=st.sampled_from([2, 4, 8]), span=st.sampled_from([8, 16, 32]),
+           n_frames=st.sampled_from([1, 2, 3]))
     @settings(max_examples=40, deadline=None)
-    def test_equals_full_path_where_the_receiver_reads(self, profile, eps, n_upsam, span):
+    def test_equals_full_path_where_the_receiver_reads(self, profile, eps, n_upsam,
+                                                        span, n_frames):
         cfg = _cfg(channel=profile, srrc_span=span,
                    frame=FrameConfig(n_fft=128, pn_len=32, n_upsam=n_upsam))
         chain = _Chain(cfg)
         rng = np.random.default_rng(5)
-        stream = chain.stream(chain.const.points[chain.draw_labels(rng, 3)])
-        # estimation window of the measured frame through its folded body
-        lo = chain.estimation_window_start(1)
-        hi = chain.pad + chain.F + chain.G + chain.N + chain.fold_margin(3)
-        full = chain.receive(stream, eps)[lo:hi]
-        fast = chain.apply(stream, chain.symbol_response(eps))[lo:hi]
+        ring = chain.stream(chain.const.points[chain.draw_labels(rng, n_frames)])
+        g = chain.symbol_response(eps)
+        # the ring repeated past the response's support on both sides
+        ext = g.size
+        start = chain.pad + ext
+        full = chain.receive(np.pad(ring, ext, mode="wrap"), eps)
+        full = full[start : start + ring.size]
+        fast = np.fft.ifft(np.fft.fft(ring) * chain.ring_response(g, ring.size))
         assert np.max(np.abs(fast - full)) <= 1e-12 * np.max(np.abs(full))
 
 
