@@ -16,24 +16,102 @@ dual-PN longecho geometry, two samples per symbol, one-frame bursts),
 responses, ``run_criterion`` with both estimators, and ``detect_labels``
 on fixed random symbols and on a grid of levels, midpoints between
 adjacent levels and values beyond the outermost level, for every
-constellation.  A dump takes a few seconds.  Only load dumps this
-script wrote: they are pickles.
+constellation.  ``config/*`` entries hold the fingerprint and the
+sidecar ``config`` JSON of the shipped recipes, of the scenario files the
+benchmark generates and of inline files that together set every key.
+A dump takes a few seconds.  Only load dumps this script wrote: they are
+pickles.
 """
 
+import json
 import pickle
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-PROFILES = Path(__file__).resolve().parent.parent / "configs" / "profiles"
+ROOT = Path(__file__).resolve().parent.parent
+PROFILES = ROOT / "configs" / "profiles"
+
+# Inline scenario files: hex integers, yes/no booleans, mixed-case names,
+# a space-and-comma list, relative and absolute profiles, an empty
+# ``pn_amplitude``; together they set every key.
+INLINE_SCENARIOS = {
+    "every_key": f"""
+[frame]
+n_fft = 0x200
+pn_len = 64
+dual_pn = no
+modulation = QAM64
+n_upsam = 2
+alpha = 0.125
+pn_poly = 0x43
+pn_seed = 5
+pn_amplitude = 0.0625
+[srrc]
+span_symbols = 24
+[channel]
+profile = {PROFILES / "threeray.txt"}
+[phase]
+grid = 16
+[sweep]
+ebn0_db = 3 5, 7,9.5
+reference_ebn0 = 8.25
+[mc]
+min_bits = 123456
+min_errors = 0x40
+max_frames = 99
+frames_per_burst = 3
+chunk_bursts = 5
+workers = 2
+equalizer = Estimated
+[run]
+seed = 0xBEEF
+ber_mode = Bits-Per-Symbol
+[criterion]
+grid = 24
+estimator = PN
+with_str = no
+with_oracle = yes
+""",
+    "epsilon_awgn": """
+[frame]
+modulation = bpsk
+dual_pn = YES
+pn_amplitude =        # the default amplitude
+[channel]
+profile = AWGN
+[phase]
+epsilon = -0.375
+[sweep]
+ebn0_db = 12
+[criterion]
+with_str = 0
+with_oracle = 1
+""",
+    "relative_profile": """
+[channel]
+profile = taps.txt
+[phase]
+epsilon = 0.5
+[run]
+ber_mode = bits-per-axis
+""",
+}
 
 
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, src)
     from tdslink.analysis import default_phase_grid
     from tdslink.channel import AWGN_PROFILE, load_profile
-    from tdslink.config import CriterionOptions, McConfig, ScenarioConfig
+    from tdslink.config import (
+        CriterionOptions,
+        McConfig,
+        ScenarioConfig,
+        load_scenario,
+        scenario_fingerprint,
+    )
     from tdslink.frame import FrameConfig, detect_labels, make_constellation
     from tdslink.montecarlo import (
         _pn_estimated_responses,
@@ -118,6 +196,25 @@ def dump(src: str, out: str) -> None:
         im = axis if const.order > 2 else np.zeros(1)
         grid = (axis[:, None] + 1j * im[None, :]).ravel()
         res[f"detect/{name}/grid"] = detect_labels(grid, const)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        recipes = sorted((ROOT / "configs").glob("*.cfg"))
+        files = {f"recipe/{p.stem}": p for p in recipes}
+        (tmp / "taps.txt").write_text((PROFILES / "tworay.txt").read_text())
+        for name, text in INLINE_SCENARIOS.items():
+            files[f"inline/{name}"] = tmp / f"{name}.cfg"
+            files[f"inline/{name}"].write_text(text)
+        sys.path.insert(0, str(ROOT))
+        from perfbench.workloads import CRITERION_WARMUP, WORKLOADS, write_scenario
+        for w in WORKLOADS.values():
+            for sc in w.scenarios:
+                files[f"perfbench/{w.name}/{sc.name}"] = write_scenario(
+                    ROOT, tmp, w.name, sc, 7)
+        files["perfbench/warmup"] = write_scenario(ROOT, tmp, "w", CRITERION_WARMUP, 7)
+        for name, path in files.items():
+            c = load_scenario(path)
+            res[f"config/{name}"] = (scenario_fingerprint(c),
+                                     json.dumps(c.describe(), indent=2))
     with open(out, "wb") as fh:
         pickle.dump(res, fh)
     print(f"{len(res)} entries written to {out}")
@@ -144,6 +241,11 @@ def compare(path_a: str, path_b: str) -> int:
                     or not same(a[k], b[k]))
     print(f"{len(a)} entries; {len(differ)} differ" +
           (": " + ", ".join(differ) if differ else ""))
+    for k in differ:
+        x, y = a.get(k), b.get(k)
+        if all(isinstance(v, np.ndarray) for v in (x, y)) and x.shape == y.shape:
+            rel = np.max(np.abs(x - y)) / np.max(np.abs(x))
+            print(f"  {k}: max |difference| / max |before| = {rel:.2e}")
     return 1 if differ else 0
 
 

@@ -23,6 +23,7 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     _float_list,
+    _parse,
     load_scenario,
     scenario_fingerprint,
 )
@@ -44,7 +45,9 @@ EXIT_FLAGGED = 3
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="scenario file")
     p.add_argument("--ebn0", help="override Eb/N0 sweep, comma separated dB")
-    p.add_argument("--epsilon", type=float, help="override the sampling phase")
+    p.add_argument(
+        "--epsilon", type=float, help="override the sampling phase or phase grid"
+    )
     p.add_argument("--seed", type=int, help="override the master seed")
     p.add_argument("--modulation", help="override the modulation")
     p.add_argument("--out", help="output CSV path (sidecar: <out>.json)")
@@ -83,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     changes: dict = {}
     if args.ebn0:
-        changes["ebn0_sweep"] = tuple(sorted(_float_list(args.ebn0, "--ebn0")))
-    if args.epsilon is not None:
-        changes["epsilon"] = args.epsilon
+        changes["ebn0_sweep"] = tuple(sorted(_parse("--ebn0", _float_list, args.ebn0)))
+    if args.epsilon is not None:  # replaces the scenario's phase or grid
+        changes.update(epsilon=args.epsilon, phase_grid=None)
     if args.seed is not None:
         changes["seed"] = args.seed
     if args.modulation:
@@ -172,7 +175,7 @@ def _cmd_criterion(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
 
 def _cmd_response(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
     if args.phases:
-        phases = list(_float_list(args.phases, "--phases"))
+        phases = list(_parse("--phases", _float_list, args.phases))
     else:
         phases = _grid_phases(cfg)
     n = cfg.frame.n_fft

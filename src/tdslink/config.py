@@ -1,8 +1,10 @@
 """Scenario configuration: dataclasses plus the key/value file format.
 
-Config files are INI-style sections of key = value pairs.  Unknown
-sections or keys are rejected so typos fail loudly.  See the shipped
-recipes under ``configs/`` for the full schema.
+Config files are INI-style sections of key = value pairs.  One table,
+``_SCHEMA``, names every section and key with the field it sets and its
+parser; unknown sections or keys are rejected so typos fail loudly, and
+an empty value is the same as leaving the key out.  See the shipped
+recipes under ``configs/`` and the README for the full schema.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .analysis import BerMode, PhaseGrid, default_phase_grid
@@ -130,17 +133,7 @@ class ScenarioConfig:
     def describe(self) -> dict:
         """JSON-friendly resolved view, the basis of the fingerprint."""
         return {
-            "frame": {
-                "n_fft": self.frame.n_fft,
-                "pn_len": self.frame.pn_len,
-                "dual_pn": self.frame.dual_pn,
-                "modulation": self.frame.modulation,
-                "n_upsam": self.frame.n_upsam,
-                "alpha": self.frame.alpha,
-                "pn_poly": self.frame.pn_poly,
-                "pn_seed": self.frame.pn_seed,
-                "pn_amplitude": self.frame.pn_amplitude,
-            },
+            "frame": asdict(self.frame),
             "srrc_span": self.srrc_span,
             "channel": {
                 "name": self.channel.name,
@@ -153,23 +146,10 @@ class ScenarioConfig:
             else list(map(float, self.phase_grid.phases)),
             "ebn0_sweep": list(self.ebn0_sweep),
             "reference_ebn0": self.reference_ebn0,
-            "mc": {
-                "min_bits": self.mc.min_bits,
-                "min_errors": self.mc.min_errors,
-                "max_frames": self.mc.max_frames,
-                "frames_per_burst": self.mc.frames_per_burst,
-                "chunk_bursts": self.mc.chunk_bursts,
-                "workers": self.mc.workers,
-                "equalizer": self.mc.equalizer,
-            },
+            "mc": asdict(self.mc),
             "seed": self.seed,
             "ber_mode": self.ber_mode.value,
-            "criterion": {
-                "grid_size": self.criterion.grid_size,
-                "estimator": self.criterion.estimator,
-                "with_str": self.criterion.with_str,
-                "with_oracle": self.criterion.with_oracle,
-            },
+            "criterion": asdict(self.criterion),
         }
 
 
@@ -178,70 +158,111 @@ def scenario_fingerprint(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-# --- file parsing ---------------------------------------------------------
 
-_SCHEMA = {
-    "frame": {
-        "n_fft",
-        "pn_len",
-        "dual_pn",
-        "modulation",
-        "n_upsam",
-        "alpha",
-        "pn_poly",
-        "pn_seed",
-        "pn_amplitude",
-    },
-    "srrc": {"span_symbols"},
-    "channel": {"profile"},
-    "phase": {"epsilon", "grid"},
-    "sweep": {"ebn0_db", "reference_ebn0"},
-    "mc": {
-        "min_bits",
-        "min_errors",
-        "max_frames",
-        "frames_per_burst",
-        "chunk_bursts",
-        "workers",
-        "equalizer",
-    },
-    "run": {"seed", "ber_mode"},
-    "criterion": {"grid", "estimator", "with_str", "with_oracle"},
-}
+
+# --- file parsing ---------------------------------------------------------
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-def _to_bool(raw: str, where: str) -> bool:
+def _to_bool(raw: str) -> bool:
     try:
-        return _BOOL[raw.strip().lower()]
+        return _BOOL[raw.lower()]
     except KeyError:
-        raise ConfigError(f"{where}: expected a boolean, got {raw!r}") from None
+        raise ValueError(f"expected a boolean, got {raw!r}") from None
 
 
-def _to_int(raw: str, where: str) -> int:
+def _to_int(raw: str) -> int:
     try:
-        return int(raw.strip(), 0)
+        return int(raw, 0)
     except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _to_float(raw: str, where: str) -> float:
+def _to_float(raw: str) -> float:
     try:
-        return float(raw.strip())
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-def _float_list(raw: str, where: str) -> tuple[float, ...]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
+def _float_list(raw: str) -> tuple[float, ...]:
+    parts = raw.replace(",", " ").split()
     if not parts:
-        raise ConfigError(f"{where}: empty list")
-    return tuple(_to_float(p, where) for p in parts)
+        raise ValueError("empty list")
+    return tuple(map(_to_float, parts))
+
+
+def _to_ber_mode(raw: str) -> BerMode:
+    try:
+        return BerMode(raw.lower())
+    except ValueError:
+        modes = [m.value for m in BerMode]
+        raise ValueError(f"must be one of {modes}, got {raw!r}") from None
+
+
+def _parse(where: str, parse, raw):
+    """``parse(raw)``, with a bad value reported as a ConfigError naming
+    ``where`` (a file's ``[section] key``, or a command-line option)."""
+    try:
+        return parse(raw)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+# [section] -> file key -> (field, parser).  [frame], [mc] and [criterion]
+# fill FrameConfig, McConfig and CriterionOptions; the other sections fill
+# ScenarioConfig itself.  [channel] profile is a path, loaded afterwards.
+_SCHEMA = {
+    "frame": {
+        "n_fft": ("n_fft", _to_int),
+        "pn_len": ("pn_len", _to_int),
+        "dual_pn": ("dual_pn", _to_bool),
+        "modulation": ("modulation", str.lower),
+        "n_upsam": ("n_upsam", _to_int),
+        "alpha": ("alpha", _to_float),
+        "pn_poly": ("pn_poly", _to_int),
+        "pn_seed": ("pn_seed", _to_int),
+        "pn_amplitude": ("pn_amplitude", _to_float),
+    },
+    "srrc": {"span_symbols": ("srrc_span", _to_int)},
+    "channel": {"profile": ("channel", Path)},
+    "phase": {
+        "epsilon": ("epsilon", _to_float),
+        "grid": ("phase_grid", lambda raw: default_phase_grid(_to_int(raw))),
+    },
+    "sweep": {
+        "ebn0_db": ("ebn0_sweep", _float_list),
+        "reference_ebn0": ("reference_ebn0", _to_float),
+    },
+    "mc": {
+        "min_bits": ("min_bits", _to_int),
+        "min_errors": ("min_errors", _to_int),
+        "max_frames": ("max_frames", _to_int),
+        "frames_per_burst": ("frames_per_burst", _to_int),
+        "chunk_bursts": ("chunk_bursts", _to_int),
+        "workers": ("workers", _to_int),
+        "equalizer": ("equalizer", str.lower),
+    },
+    "run": {"seed": ("seed", _to_int), "ber_mode": ("ber_mode", _to_ber_mode)},
+    "criterion": {
+        "grid": ("grid_size", _to_int),
+        "estimator": ("estimator", str.lower),
+        "with_str": ("with_str", _to_bool),
+        "with_oracle": ("with_oracle", _to_bool),
+    },
+}
+_NESTED = {"frame": FrameConfig, "mc": McConfig, "criterion": CriterionOptions}
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse a scenario file, rejecting unknown sections and keys."""
+    """Parse a scenario file, rejecting unknown sections and keys.
+
+    An empty value is the same as leaving the key out.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -251,124 +272,33 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    kwargs: dict[str, dict] = {section: {} for section in _SCHEMA}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
+        for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            name, parse = _SCHEMA[section][key]
+            if raw.strip():
+                where = f"{path}: [{section}] {key}"
+                kwargs[section][name] = _parse(where, parse, raw.strip())
 
-    def get(section: str, key: str) -> str | None:
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return None
-
-    frame_kwargs: dict = {}
-    for key, conv in [
-        ("n_fft", _to_int),
-        ("pn_len", _to_int),
-        ("dual_pn", _to_bool),
-        ("n_upsam", _to_int),
-        ("alpha", _to_float),
-        ("pn_poly", _to_int),
-        ("pn_seed", _to_int),
-        ("pn_amplitude", _to_float),
-    ]:
-        raw = get("frame", key)
-        if raw is not None and raw.strip():
-            frame_kwargs[key] = conv(raw, f"[frame] {key}")
-    raw = get("frame", "modulation")
-    if raw is not None:
-        frame_kwargs["modulation"] = raw.strip().lower()
-    try:
-        frame = FrameConfig(**frame_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [frame] {exc}") from exc
-
-    span_raw = get("srrc", "span_symbols")
-    srrc_span = _to_int(span_raw, "[srrc] span_symbols") if span_raw else 16
-
-    channel = AWGN_PROFILE
-    profile_raw = get("channel", "profile")
-    if profile_raw and profile_raw.strip().lower() != "awgn":
-        profile_path = Path(profile_raw.strip())
-        if not profile_path.is_absolute():
-            profile_path = path.parent / profile_path
-        try:
-            channel = load_profile(profile_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{path}: channel profile: {exc}") from exc
-
-    epsilon = 0.0
-    phase_grid = None
-    eps_raw = get("phase", "epsilon")
-    grid_raw = get("phase", "grid")
-    if eps_raw and grid_raw:
+    if {"epsilon", "phase_grid"} <= kwargs["phase"].keys():
         raise ConfigError(f"{path}: [phase] give either epsilon or grid, not both")
-    if eps_raw:
-        epsilon = _to_float(eps_raw, "[phase] epsilon")
-    if grid_raw:
-        phase_grid = default_phase_grid(_to_int(grid_raw, "[phase] grid"))
-
-    sweep_raw = get("sweep", "ebn0_db")
-    sweep = (
-        _float_list(sweep_raw, "[sweep] ebn0_db")
-        if sweep_raw
-        else (4.0, 6.0, 8.0, 10.0)
-    )
-    ref_raw = get("sweep", "reference_ebn0")
-    reference = _to_float(ref_raw, "[sweep] reference_ebn0") if ref_raw else None
-
-    mc_kwargs: dict = {}
-    for key in ("min_bits", "min_errors", "max_frames", "frames_per_burst",
-                "chunk_bursts", "workers"):
-        raw = get("mc", key)
-        if raw is not None:
-            mc_kwargs[key] = _to_int(raw, f"[mc] {key}")
-    raw = get("mc", "equalizer")
-    if raw is not None:
-        mc_kwargs["equalizer"] = raw.strip().lower()
-    mc = McConfig(**mc_kwargs)
-
-    seed_raw = get("run", "seed")
-    seed = _to_int(seed_raw, "[run] seed") if seed_raw else 1
-    mode_raw = get("run", "ber_mode")
-    ber_mode = BerMode.BITS_PER_AXIS
-    if mode_raw:
-        try:
-            ber_mode = BerMode(mode_raw.strip().lower())
-        except ValueError:
-            raise ConfigError(
-                f"{path}: [run] ber_mode must be one of "
-                f"{[m.value for m in BerMode]}, got {mode_raw!r}"
-            ) from None
-
-    crit_kwargs: dict = {}
-    raw = get("criterion", "grid")
-    if raw is not None:
-        crit_kwargs["grid_size"] = _to_int(raw, "[criterion] grid")
-    raw = get("criterion", "estimator")
-    if raw is not None:
-        crit_kwargs["estimator"] = raw.strip().lower()
-    for key in ("with_str", "with_oracle"):
-        raw = get("criterion", key)
-        if raw is not None:
-            crit_kwargs[key] = _to_bool(raw, f"[criterion] {key}")
-    criterion = CriterionOptions(**crit_kwargs)
-
-    try:
-        return ScenarioConfig(
-            frame=frame,
-            srrc_span=srrc_span,
-            channel=channel,
-            epsilon=epsilon,
-            phase_grid=phase_grid,
-            ebn0_sweep=sweep,
-            reference_ebn0=reference,
-            mc=mc,
-            seed=seed,
-            ber_mode=ber_mode,
-            criterion=criterion,
+    profile = kwargs["channel"].pop("channel", Path("awgn"))
+    if str(profile).lower() != "awgn":
+        kwargs["channel"]["channel"] = _parse(
+            f"{path}: [channel] profile", load_profile, path.parent / profile
         )
+    nested = {}
+    for section, cls in _NESTED.items():
+        try:
+            nested[section] = cls(**kwargs.pop(section))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}") from exc
+    fields = {k: v for values in kwargs.values() for k, v in values.items()}
+    try:
+        return ScenarioConfig(**nested, **fields)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -13,9 +13,8 @@ convolution of the frames with the phase's symbol-rate impulse response,
 so every frame has neighbours on both sides and every frame is measured,
 with one fold, FFT, slice and bit count per burst.  The oversampled
 waveform path, which zero-pads its stream, runs only to derive that
-response, where noise must enter before the matched filter (the
-timing-recovery baseline and the PN estimator), and as the oracle the
-response is checked against.
+response and where noise must enter before the matched filter (the
+timing-recovery baseline and the PN estimator).
 
 Symbol errors are counted per quadrature axis (each square-QAM symbol is
 two Gray-coded PAM decisions), the same quantity
@@ -229,16 +228,6 @@ class _Chain:
         gamma = 10.0 ** (ebn0_db / 10.0)
         return 1.0 / (self.N * self.k * gamma)
 
-    def fold(self, windows: np.ndarray, margin: int) -> np.ndarray:
-        """Wrap the ``margin`` symbols on either side of each row's body
-        back into it, restoring the circular convolution the
-        per-subcarrier model assumes; rows are (N + 2 margin) long."""
-        n = self.N
-        acc = windows[:, margin : margin + n].copy()
-        acc[:, n - margin :] += windows[:, :margin]
-        acc[:, :margin] += windows[:, margin + n :]
-        return acc
-
     def estimation_windows(self, rows: np.ndarray) -> np.ndarray:
         """Guard window of each frame row used for PN channel estimation
         (second copy when the guard is doubled, since the first copy
@@ -289,14 +278,15 @@ def _simulate_burst(
             windows + noise(windows.shape), chain.pn, N, chain.cfg.frame.guard_amplitude
         )
 
-    # each body with `margin` symbols of its own guard before it and of
-    # the next frame's guard after it
+    # fold into each body the `margin` symbols before it (the end of its
+    # own guard) and after it (the start of the next frame's guard),
+    # restoring the circular convolution the per-subcarrier model assumes
     margin = min(chain.tail, max(0, G - chain.tail))
     data = rows - pn_ref
-    windows = np.concatenate(
-        [data[:, G - margin :], np.roll(data[:, :margin], -1, axis=0)], axis=1
-    )
-    Y = np.fft.fft(chain.fold(windows, margin) + noise((n_frames, N)), axis=1)
+    body = data[:, G:].copy()
+    body[:, N - margin :] += data[:, G - margin : G]
+    body[:, :margin] += np.roll(data[:, :margin], -1, axis=0)
+    Y = np.fft.fft(body + noise((n_frames, N)), axis=1)
     rx_labels = detect_labels(_zf_equalize(Y, h_eq), chain.const)
     diff = tx_labels ^ rx_labels
     # per-axis decisions: the in-phase half of the label, then the
@@ -403,20 +393,13 @@ def run_mc_ber(
 def measure_chain_response(cfg: ScenarioConfig, epsilon: float) -> np.ndarray:
     """Per-subcarrier gains of the noiseless simulated chain.
 
-    Sends one isolated frame of known symbols and returns DFT(received
-    body)/DFT(sent data), directly comparable to the analytic equivalent
-    response.
+    This is H_chain: the DFT of the phase's symbol-rate impulse response
+    wrapped onto one block, which is what the receiver sees when the fold
+    covers that response's support.  Directly comparable to the analytic
+    equivalent response.
     """
     chain = _Chain(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC0DE]))
-    labels = rng.integers(0, chain.const.order, size=chain.N)
-    data = chain.const.points[labels]
-
-    sym = chain.receive(chain.stream(data[None]), epsilon)
-    pn_ref = chain.receive(chain.stream(np.zeros((1, chain.N))), epsilon)
-    start = chain.pad + chain.G - chain.tail
-    window = (sym - pn_ref)[None, start : start + chain.N + 2 * chain.tail]
-    return np.fft.fft(chain.fold(window, chain.tail)[0]) / data
+    return chain.ring_response(chain.symbol_response(epsilon), chain.N)
 
 
 def _response_for(cfg: ScenarioConfig, epsilon: float) -> EquivResponse:
@@ -542,15 +525,9 @@ def run_str_baseline(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57D]))
     labels = chain.draw_labels(rng, n_frames)
     rx = chain.front_end(chain.stream(chain.const.points[labels]), cfg.ref_ebn0, rng)
-    # the injected phase delays the waveform seen by the tracker
+    # the injected phase delays the waveform seen by the tracker; its
+    # whole-sample part shifts where the tracker reads
     arr, base = delay(rx.samples, eps * chain.L)
-    if base:
-        arr = np.roll(arr, base)
-        if base > 0:
-            arr[:base] = 0.0
-        else:
-            arr[base:] = 0.0
-
     state = StrLoopState(loop_gain=loop_gain)
     state = str_track(
         arr,
@@ -559,7 +536,7 @@ def run_str_baseline(
         n_frames,
         chain.L,
         cfg.frame.frame_len,
-        guard_offset=rx.origin + chain.pad * chain.L,
+        guard_offset=rx.origin + chain.pad * chain.L - base,
     )
     return StrReport(
         state=state,

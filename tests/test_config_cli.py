@@ -1,14 +1,29 @@
 """Tests for scenario files and the command-line front end."""
 
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tdslink.analysis import BerMode
+from tdslink.analysis import BerMode, default_phase_grid
+from tdslink.channel import AWGN_PROFILE, ChannelProfile, load_profile
 from tdslink.cli import main
-from tdslink.config import ConfigError, load_scenario
+from tdslink.config import (
+    _SCHEMA,
+    ConfigError,
+    CriterionOptions,
+    McConfig,
+    ScenarioConfig,
+    load_scenario,
+)
+from tdslink.frame import FrameConfig
 from tdslink.montecarlo import CSV_HEADER
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+RECIPES = ("fig3.cfg", "fig5.cfg", "fig6.cfg", "sec4-comparison.cfg")
 
 MINIMAL = """
 [frame]
@@ -68,6 +83,13 @@ class TestConfigFiles:
     def test_bad_values_rejected(self, tmp_path):
         for old, new, match in [
             ("n_fft = 256", "n_fft = twelve", "expected an integer"),
+            ("ebn0_db = 6, 8", "ebn0_db = 6, nan", "finite"),
+            ("ebn0_db = 6, 8", "ebn0_db = 6, 8\nreference_ebn0 = nan", "finite"),
+            ("ebn0_db = 6, 8", "ebn0_db = 6, 1e400", "finite"),
+            ("dual_pn = true", "dual_pn = true\npn_amplitude = nan", "finite"),
+            ("dual_pn = true", "dual_pn = true\nalpha = -inf", "finite"),
+            ("seed = 5", "seed = 5\n[phase]\nepsilon = inf", "finite"),
+            ("seed = 5", "seed = 5\n[phase]\ngrid = 0", "grid size"),
             ("modulation = qam16", "modulation = qam32", "unknown modulation"),
             ("seed = 5", "seed = 5\nber_mode = magic", "ber_mode"),
             ("ebn0_db = 6, 8", "ebn0_db = 10, 6", "sorted"),
@@ -78,8 +100,9 @@ class TestConfigFiles:
         ]:
             path = tmp_path / "bad.cfg"
             path.write_text(MINIMAL.replace(old, new))
-            with pytest.raises(ConfigError, match=match):
+            with pytest.raises(ConfigError, match=match) as exc:
                 load_scenario(path)
+            assert str(exc.value).startswith(f"{path}: ")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -94,10 +117,173 @@ class TestConfigFiles:
         assert cfg.channel.delays.size == 2
 
     def test_shipped_recipes_parse(self):
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        for name in ("fig3.cfg", "fig5.cfg", "fig6.cfg", "sec4-comparison.cfg"):
-            cfg = load_scenario(configs / name)
+        for name in RECIPES:
+            cfg = load_scenario(CONFIGS / name)
             assert cfg.frame.n_fft >= 1024
+
+
+def write_scenario(desc: dict, directory: Path) -> Path:
+    """A scenario file, plus a tap file for a multipath channel, that
+    loads back to the configuration ``desc`` (a ``describe()``) holds."""
+    desc = json.loads(json.dumps(desc))  # plain Python numbers
+    channel = desc["channel"]
+    profile = channel["name"]
+    if profile != "awgn":
+        taps = directory / f"{profile}.txt"
+        taps.write_text("".join(
+            f"{d!r} {re!r} {im!r}\n"
+            for d, (re, im) in zip(channel["delays"], channel["gains"])))
+        profile = taps.name
+    phase = (
+        {"epsilon": desc["epsilon"]}
+        if desc["phase_grid"] is None
+        else {"grid": len(desc["phase_grid"])}
+    )
+    criterion = dict(desc["criterion"])
+    criterion["grid"] = criterion.pop("grid_size")
+    sections = {
+        "frame": desc["frame"],
+        "srrc": {"span_symbols": desc["srrc_span"]},
+        "channel": {"profile": profile},
+        "phase": phase,
+        "sweep": {"ebn0_db": ", ".join(map(repr, desc["ebn0_sweep"])),
+                  "reference_ebn0": desc["reference_ebn0"]},
+        "mc": desc["mc"],
+        "run": {"seed": desc["seed"], "ber_mode": desc["ber_mode"]},
+        "criterion": criterion,
+    }
+
+    def text(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return str(value).lower()
+        return repr(value) if isinstance(value, float) else str(value)
+
+    path = directory / "scenario.cfg"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {text(v)}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    return path
+
+
+def assert_same_description(a: dict, b: dict) -> None:
+    """Equal, except that gains may move by rounding: profiles are
+    renormalised on load."""
+    a, b = json.loads(json.dumps(a)), json.loads(json.dumps(b))
+    gains_a, gains_b = a["channel"].pop("gains"), b["channel"].pop("gains")
+    assert a == b
+    np.testing.assert_allclose(gains_a, gains_b, rtol=0, atol=1e-15)
+
+
+def round_trip(cfg: ScenarioConfig) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        reloaded = load_scenario(write_scenario(cfg.describe(), Path(tmp)))
+    assert_same_description(reloaded.describe(), cfg.describe())
+
+
+@st.composite
+def scenarios(draw) -> ScenarioConfig:
+    frame = FrameConfig(
+        n_fft=draw(st.sampled_from([4, 256, 2048])),
+        pn_len=draw(st.integers(16, 600)),
+        dual_pn=draw(st.booleans()),
+        modulation=draw(st.sampled_from(["bpsk", "qam16", "qam64", "qam256"])),
+        n_upsam=draw(st.integers(2, 16)),
+        alpha=draw(st.floats(0.001, 1.0)),
+        pn_poly=draw(st.none() | st.integers(0, 4095)),
+        pn_seed=draw(st.integers(1, 4095)),
+        pn_amplitude=draw(st.none() | st.floats(1e-3, 10.0)),
+    )
+    delays = draw(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4, unique=True))
+    gains = draw(st.lists(
+        st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0),
+        min_size=len(delays), max_size=len(delays)))
+    channel = draw(st.sampled_from([
+        AWGN_PROFILE,
+        load_profile(CONFIGS / "profiles" / "longecho.txt"),
+        ChannelProfile(delays=sorted(delays), gains=gains, name="drawn"),
+    ]))
+    grid = draw(st.none() | st.integers(1, 256))
+    frames_per_burst = draw(st.integers(1, 16))
+    return ScenarioConfig(
+        frame=frame,
+        srrc_span=draw(st.integers(1, 64)),
+        channel=channel,
+        epsilon=0.0 if grid else draw(st.floats(-0.5, 0.5)),
+        phase_grid=default_phase_grid(grid) if grid else None,
+        ebn0_sweep=tuple(sorted(draw(st.lists(st.floats(-20.0, 60.0), min_size=1,
+                                              max_size=6)))),
+        reference_ebn0=draw(st.none() | st.floats(-20.0, 60.0)),
+        mc=McConfig(
+            min_bits=draw(st.integers(1, 10**12)),
+            min_errors=draw(st.integers(1, 10**6)),
+            max_frames=frames_per_burst + draw(st.integers(0, 10**4)),
+            frames_per_burst=frames_per_burst,
+            chunk_bursts=draw(st.integers(1, 64)),
+            workers=draw(st.integers(1, 8)),
+            equalizer=draw(st.sampled_from(["known", "estimated"])),
+        ),
+        seed=draw(st.integers(0, 2**64)),
+        ber_mode=draw(st.sampled_from(list(BerMode))),
+        criterion=CriterionOptions(
+            grid_size=draw(st.integers(1, 512)),
+            estimator=draw(st.sampled_from(["analytic", "pn"])),
+            with_str=draw(st.booleans()),
+            with_oracle=draw(st.booleans()),
+        ),
+    )
+
+
+# A value other than the default for every key of the schema.
+NON_DEFAULT = {
+    "frame": {"n_fft": "512", "pn_len": "64", "dual_pn": "false",
+              "modulation": "qam64", "n_upsam": "2", "alpha": "0.125",
+              "pn_poly": "0x43", "pn_seed": "3", "pn_amplitude": "0.5"},
+    "srrc": {"span_symbols": "8"},
+    "channel": {"profile": str(CONFIGS / "profiles" / "threeray.txt")},
+    "phase": {"epsilon": "0.25", "grid": "8"},
+    "sweep": {"ebn0_db": "1, 2", "reference_ebn0": "7"},
+    "mc": {"min_bits": "1000", "min_errors": "10", "max_frames": "40",
+           "frames_per_burst": "2", "chunk_bursts": "3", "workers": "2",
+           "equalizer": "estimated"},
+    "run": {"seed": "9", "ber_mode": "bits-per-symbol"},
+    "criterion": {"grid": "16", "estimator": "pn", "with_str": "false",
+                  "with_oracle": "true"},
+}
+SCHEMA_KEYS = [(section, key) for section in _SCHEMA for key in _SCHEMA[section]]
+
+
+def describe_file(tmp_path: Path, text: str) -> dict:
+    path = tmp_path / "one_key.cfg"
+    path.write_text(text)
+    return load_scenario(path).describe()
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name", RECIPES)
+    def test_recipes_round_trip(self, name):
+        round_trip(load_scenario(CONFIGS / name))
+
+    @given(scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_configs_round_trip(self, cfg):
+        round_trip(cfg)
+
+    def test_every_key_has_a_non_default_value(self):
+        assert SCHEMA_KEYS == [(s, k) for s in NON_DEFAULT for k in NON_DEFAULT[s]]
+
+    @pytest.mark.parametrize("section,key", SCHEMA_KEYS)
+    def test_no_key_is_dropped(self, tmp_path, section, key):
+        default = describe_file(tmp_path, "")
+        value = NON_DEFAULT[section][key]
+        assert describe_file(tmp_path, f"[{section}]\n{key} = {value}\n") != default
+
+    @pytest.mark.parametrize("section,key", SCHEMA_KEYS)
+    def test_empty_value_is_the_default(self, tmp_path, section, key):
+        default = describe_file(tmp_path, "")
+        assert describe_file(tmp_path, f"[{section}]\n{key} =\n") == default
+        assert describe_file(tmp_path, f"[{section}]\n{key} =   # unset\n") == default
 
 
 class TestCli:
@@ -156,6 +342,10 @@ class TestCli:
         ["theory", "--modulation", "qam32"],
         ["str-baseline", "--frames", "0"],
         ["response", "--phases", "0,zero"],
+        ["theory", "--ebn0", "nan"],
+        ["simulate", "--ebn0", "8,inf"],
+        ["response", "--phases", "0,nan"],
+        ["theory", "--epsilon", "nan"],
     ])
     def test_bad_override_exits_2(self, cfg_file, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
@@ -163,6 +353,20 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "theory", "response"])
+    def test_epsilon_replaces_the_phase_grid(self, tmp_path, command):
+        path = tmp_path / "grid.cfg"
+        path.write_text(MINIMAL + "\n[phase]\ngrid = 8\n")
+        out = tmp_path / "x.csv"
+        rc = main([command, "--config", str(path), "--epsilon", "0.1",
+                   "--ebn0", "8", "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert rows and {float(r.split(",")[1]) for r in rows} == {0.1}
+        sidecar = json.loads(Path(str(out) + ".json").read_text())
+        assert sidecar["config"]["epsilon"] == 0.1
+        assert sidecar["config"]["phase_grid"] is None
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["theory", "--config", str(tmp_path / "gone.cfg")])
