@@ -114,6 +114,7 @@ def dump(src: str, out: str) -> None:
     )
     from tdslink.frame import FrameConfig, detect_labels, make_constellation
     from tdslink.montecarlo import (
+        _Chain,
         _pn_estimated_responses,
         measure_chain_response,
         run_criterion,
@@ -173,7 +174,7 @@ def dump(src: str, out: str) -> None:
                                         r.state.peak_offset, r.converged)
     for name, p, frame in (("threeray", threeray, FrameConfig(n_fft=256, pn_len=64)),
                            ("longecho_single_pn", longecho, single_pn)):
-        est = _pn_estimated_responses(cfg(channel=p, frame=frame), default_phase_grid(16))
+        est = _pn_estimated_responses(_Chain(cfg(channel=p, frame=frame)), default_phase_grid(16))
         res[f"pn/{name}"] = {eps: r.h for eps, r in est.items()}
     for estimator in ("analytic", "pn"):
         options = CriterionOptions(grid_size=8, estimator=estimator,
@@ -242,11 +243,23 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"{len(a)} entries; {len(differ)} differ" +
           (": " + ", ".join(differ) if differ else ""))
     for k in differ:
-        x, y = a.get(k), b.get(k)
-        if all(isinstance(v, np.ndarray) for v in (x, y)) and x.shape == y.shape:
+        x, y = numbers(a.get(k)), numbers(b.get(k))
+        if x.size and x.shape == y.shape:
             rel = np.max(np.abs(x - y)) / np.max(np.abs(x))
             print(f"  {k}: max |difference| / max |before| = {rel:.2e}")
     return 1 if differ else 0
+
+
+def numbers(a) -> np.ndarray:
+    """Every number of a nested dump, flattened in order (booleans too)."""
+    if isinstance(a, dict):
+        a = list(a.values())
+    if isinstance(a, (list, tuple)):
+        parts = [numbers(v) for v in a]
+        return np.concatenate(parts) if parts else np.zeros(0)
+    if isinstance(a, (np.ndarray, int, float, complex, np.number)):
+        return np.ravel(np.asarray(a, dtype=np.complex128))
+    return np.zeros(0)
 
 
 if __name__ == "__main__":

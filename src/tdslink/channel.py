@@ -22,6 +22,7 @@ __all__ = [
     "AWGN_PROFILE",
     "ChannelProfile",
     "EquivResponse",
+    "ImageSum",
     "add_awgn",
     "apply_channel",
     "awgn_response",
@@ -167,24 +168,38 @@ class EquivResponse:
         return np.abs(self.h) ** 2
 
 
-def equivalent_response(
-    profile: ChannelProfile, alpha: float, epsilon: float, n_fft: int
-) -> EquivResponse:
-    """Aliased-image sum for the equivalent channel at phase ``epsilon``.
+class ImageSum:
+    """Aliased-image sum for the equivalent channel, phase by phase.
 
     h[n] = sum_k H_C(f_n - k) RC(f_n - k) exp(j 2 pi (f_n - k) epsilon),
     f_n = n / n_fft.  Truncating the image index to |k| <= 2 is exact:
     the combined shaping response vanishes beyond |f| = (1 + alpha)/2.
+    Only the ramp depends on the phase, so the image terms
+    H_C(f_n - k) RC(f_n - k) are computed once, here.
     """
-    f = np.arange(n_fft) / n_fft
-    h = np.zeros(n_fft, dtype=np.complex128)
-    for k in range(-2, 3):
-        fk = f - k
-        rc = raised_cosine_response(fk, alpha)
-        if not np.any(rc):
-            continue
-        h += profile.frequency_response(fk) * rc * np.exp(2j * np.pi * fk * epsilon)
-    return EquivResponse(h=h, epsilon=epsilon, alpha=alpha, profile_name=profile.name)
+
+    def __init__(self, profile: ChannelProfile, alpha: float, n_fft: int):
+        self.alpha = alpha
+        self.profile_name = profile.name
+        f = np.arange(n_fft) / n_fft
+        self.images = []
+        for k in range(-2, 3):
+            fk = f - k
+            rc = raised_cosine_response(fk, alpha)
+            if np.any(rc):
+                self.images.append((fk, profile.frequency_response(fk) * rc))
+
+    def response(self, epsilon: float) -> EquivResponse:
+        """Equivalent response at phase ``epsilon``."""
+        h = sum(term * np.exp(2j * np.pi * fk * epsilon) for fk, term in self.images)
+        return EquivResponse(h, epsilon, self.alpha, self.profile_name)
+
+
+def equivalent_response(
+    profile: ChannelProfile, alpha: float, epsilon: float, n_fft: int
+) -> EquivResponse:
+    """:class:`ImageSum` response at one phase ``epsilon``."""
+    return ImageSum(profile, alpha, n_fft).response(epsilon)
 
 
 def awgn_response(alpha: float, epsilon: float, f) -> np.ndarray:

@@ -30,7 +30,7 @@ from .config import (
 from .montecarlo import (
     CSV_HEADER,
     BerCurve,
-    _response_for,
+    _responses,
     run_criterion,
     run_mc_ber,
     run_str_baseline,
@@ -176,13 +176,15 @@ def _cmd_criterion(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
 def _cmd_response(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
     if args.phases:
         phases = list(_parse("--phases", _float_list, args.phases))
+        if not all(-0.5 <= eps <= 0.5 for eps in phases):
+            raise ConfigError(f"--phases must lie in [-0.5, 0.5], got {args.phases}")
     else:
         phases = _grid_phases(cfg)
     n = cfg.frame.n_fft
     f = np.arange(n) / n
     rows = []
-    for eps in phases:
-        mag = np.abs(_response_for(cfg, eps).h)
+    for eps, resp in zip(phases, _responses(cfg, phases)):
+        mag = np.abs(resp.h)
         rows.extend(
             f"{f[i]:.10g},{eps:.10g},{mag[i]:.10g}" for i in range(n)
         )

@@ -106,10 +106,15 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.ebn0_sweep:
             raise ConfigError("ebn0 sweep is empty")
+        ref = () if self.reference_ebn0 is None else (self.reference_ebn0,)
+        if not all(map(math.isfinite, (*self.ebn0_sweep, *ref))):
+            raise ConfigError("ebn0 sweep and reference_ebn0 must be finite")
         if list(self.ebn0_sweep) != sorted(self.ebn0_sweep):
             raise ConfigError("ebn0 sweep must be sorted ascending")
         if not -0.5 <= self.epsilon <= 0.5:
             raise ConfigError(f"epsilon must be in [-0.5, 0.5], got {self.epsilon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def srrc(self) -> SrrcSpec:

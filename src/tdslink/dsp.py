@@ -177,14 +177,17 @@ def fractional_delay(
     if mu == 0.0:
         return x.astype(np.complex128, copy=True)
     half = n_taps // 2
-    k = np.arange(n_taps)
-    taps = np.sinc(k - half - mu) * np.blackman(n_taps)
-    taps /= taps.sum()  # unit DC gain at every shift
-    y = fftconvolve(x, taps)
+    y = fftconvolve(x, _interp_taps(mu, n_taps))
     return y[half : half + len(x)]
 
 
-def delay(x: np.ndarray, d: float) -> tuple[np.ndarray, int]:
+def _interp_taps(mu: float, n_taps: int = INTERP_TAPS) -> np.ndarray:
+    """Taps of :func:`fractional_delay`: y[n] = sum_k taps[k] x[n + half - k]."""
+    taps = np.sinc(np.arange(n_taps) - n_taps // 2 - mu) * np.blackman(n_taps)
+    return taps / taps.sum()  # unit DC gain at every shift
+
+
+def delay(x: np.ndarray, d: float, at=None) -> tuple[np.ndarray, int]:
     """Delay a buffer by ``d`` samples (any real ``d``, at its own rate).
 
     Returns ``(y, base)`` with ``base = round(d)``: ``y`` is ``x`` delayed
@@ -193,9 +196,21 @@ def delay(x: np.ndarray, d: float) -> tuple[np.ndarray, int]:
     Positive ``d`` makes the signal arrive later; sampling a stream
     ``eps`` symbols late is therefore ``delay(x, -eps * sps)`` read from
     index ``origin - base``.  A rest below 1e-12 is passed through.
+
+    With integer indices ``at`` (any shape), ``y`` is only ``z[at]``: each
+    sample one dot product with the interpolator taps, reading ``x`` as
+    zero beyond its ends, so a long stream costs only where it is read.
     """
     base = int(round(d))
     mu = d - base
+    if at is not None:  # y[n] at n = at - base; one unit tap when passed through
+        taps = np.ones(1) if abs(mu) < 1e-12 else _interp_taps(mu)
+        idx = np.asarray(at)[..., None] - base + taps.size // 2 - np.arange(taps.size)
+        x = np.asarray(x, dtype=np.complex128)
+        inside = (idx >= 0) & (idx < x.size)
+        window = np.where(inside, x[np.clip(idx, 0, x.size - 1)], 0)
+        # a BLAS dot here would leave threads spinning beside the bursts
+        return (window * taps).sum(axis=-1), base
     if abs(mu) < 1e-12:
         return np.asarray(x, dtype=np.complex128), base
     return fractional_delay(x, mu), base

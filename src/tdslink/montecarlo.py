@@ -12,9 +12,11 @@ A burst's frames form a ring: the noiseless chain is one circular
 convolution of the frames with the phase's symbol-rate impulse response,
 so every frame has neighbours on both sides and every frame is measured,
 with one fold, FFT, slice and bit count per burst.  The oversampled
-waveform path, which zero-pads its stream, runs only to derive that
-response and where noise must enter before the matched filter (the
-timing-recovery baseline and the PN estimator).
+waveform path (shaping -> channel -> matched filter) runs once per
+scenario, on one unit symbol, when first needed (the theory runners never
+need it).  Noisy streams (timing-recovery baseline, PN estimator) are
+convolved with that response, and each phase interpolates it only at the
+symbol instants read: a symbol-rate response's support, or guard windows.
 
 Symbol errors are counted per quadrature axis (each square-QAM symbol is
 two Gray-coded PAM decisions), the same quantity
@@ -28,8 +30,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from .analysis import (
     BerMode,
@@ -43,10 +47,10 @@ from .analysis import (
 )
 from .channel import (
     EquivResponse,
+    ImageSum,
     add_awgn,
     apply_channel,
     awgn_response,
-    equivalent_response,
     estimate_complex_response_from_pn,
     estimate_response_from_pn,
 )
@@ -134,10 +138,13 @@ class _Chain:
         max_delay = int(math.ceil(float(np.max(cfg.channel.delays))))
         # two-sided tail of the equivalent symbol-rate channel
         self.tail = 2 * cfg.srrc_span + max_delay + 10
-        # zeros the oversampled path puts around a stream before shaping
+        # zeros the oversampled path puts around its unit symbol
         self.pad = self.tail + 2
         # per-sample power of the shaped body at the oversampled rate
         self.body_power_ovs = 1.0 / (self.N * self.L)
+        # the known equalizer, and one frame period of a guards-only ring
+        self.images = ImageSum(cfg.channel, f.alpha, self.N)
+        self.guard_spectrum = np.fft.fft(self.stream(np.zeros((1, self.N))))
 
     def draw_labels(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
         """Random (n_frames, N) symbol labels from MSB-first random bits."""
@@ -153,37 +160,50 @@ class _Chain:
             [build_frame(d, self.pn, self.cfg.frame).samples for d in data_rows]
         )
 
+    @cached_property
+    def response(self) -> SignalBuffer:
+        """Noiseless oversampled response of the front end to one unit
+        symbol, ``origin`` at the symbol: the explicit shaping ->
+        channel -> matched filter path run on the symbol zero-padded by
+        ``pad`` on both sides."""
+        impulse = np.zeros(2 * self.pad + 1)
+        impulse[self.pad] = 1.0
+        tx = shape_symbols(impulse, self.L, self.taps)
+        if not self.cfg.channel.is_identity:
+            tx = apply_channel(tx, self.cfg.channel)
+        rx = apply_fir(tx, self.taps)
+        return SignalBuffer(rx.samples, rx.sps, rx.origin + self.pad * self.L)
+
     def front_end(
         self,
         symbols: np.ndarray,
         ebn0_db: float | None = None,
         rng: np.random.Generator | None = None,
     ) -> SignalBuffer:
-        """Zero-pad a symbol stream by ``pad`` on both sides, then shape,
-        propagate and matched-filter it.
+        """Shape, propagate and matched-filter a symbol stream, ``origin``
+        at its first symbol: the stream convolved with :attr:`response`,
+        the explicit path's output on the stream zero-padded like it.
 
         With ``ebn0_db`` set, white noise calibrated to the body power is
-        drawn from ``rng`` and added before the matched filter.
+        drawn from ``rng`` for every channel output sample of that path
+        and added through the matched filter.
         """
-        tx = shape_symbols(np.pad(symbols, self.pad), self.L, self.taps)
-        if not self.cfg.channel.is_identity:
-            tx = apply_channel(tx, self.cfg.channel)
+        r = self.response
+        up = np.zeros((symbols.size - 1) * self.L + 1, dtype=np.complex128)
+        up[:: self.L] = symbols
+        y = fftconvolve(up, r.samples)
         if ebn0_db is not None:
-            noisy = add_awgn(
-                tx.samples, ebn0_db, self.k, self.L, rng, self.body_power_ovs
-            )
-            tx = SignalBuffer(noisy, tx.sps, tx.origin)
-        return apply_fir(tx, self.taps)
+            noise = np.zeros(y.size - self.taps.size + 1)
+            noise = add_awgn(noise, ebn0_db, self.k, self.L, rng, self.body_power_ovs)
+            y += fftconvolve(noise, self.taps)
+        return SignalBuffer(y, self.L, r.origin)
 
-    def sample(self, rx: SignalBuffer, epsilon: float) -> np.ndarray:
+    def sample(self, rx: SignalBuffer, epsilon: float, at: np.ndarray) -> np.ndarray:
         """Symbol-rate samples of a matched-filter output taken
-        ``epsilon`` symbols late, index 0 = first padding symbol."""
-        arr, base = delay(rx.samples, -epsilon * self.L)
-        return arr[rx.origin - base :: self.L]
-
-    def receive(self, symbols: np.ndarray, epsilon: float) -> np.ndarray:
-        """Noiseless front end sampled at phase ``epsilon``."""
-        return self.sample(self.front_end(symbols), epsilon)
+        ``epsilon`` symbols late, at the symbol indices ``at`` (index 0 at
+        ``rx.origin``; any shape)."""
+        at = rx.origin + np.asarray(at) * self.L
+        return delay(rx.samples, -epsilon * self.L, at)[0]
 
     def symbol_response(self, epsilon: float) -> np.ndarray:
         """Symbol-rate impulse response of the noiseless front end sampled
@@ -192,9 +212,9 @@ class _Chain:
         The chain upsample -> shaping -> channel -> matched filter ->
         sample at ``epsilon`` is linear and time-invariant at the symbol
         rate, so a ring of symbols filtered by :meth:`ring_response` of
-        this response equals :meth:`receive` run on the ring extended
-        cyclically past the response's support.
-        It is one unit impulse sent through :meth:`receive`.  The support
+        this response equals the front end run on the ring extended
+        cyclically past the response's support, sampled at ``epsilon``.
+        It is :attr:`response` read at the symbol instants.  The support
         holds both shaping filters, the channel's largest shift and two
         interpolators (the channel taps' fractional delays, then the
         sampler's), plus the phase offset.
@@ -203,9 +223,7 @@ class _Chain:
         pre = 2 * self.cfg.srrc_span * L + 2 * (INTERP_TAPS // 2)
         post = pre + float(np.max(self.cfg.channel.delays)) * L
         reach = math.ceil(max(pre + epsilon * L, post - epsilon * L) / L) + 1
-        impulse = np.zeros(2 * reach + 1)
-        impulse[reach] = 1.0
-        return self.receive(impulse, epsilon)[self.pad : self.pad + impulse.size]
+        return self.sample(self.response, epsilon, np.arange(-reach, reach + 1))
 
     @staticmethod
     def ring_response(g: np.ndarray, n: int) -> np.ndarray:
@@ -311,12 +329,11 @@ def _run_point(
     g = chain.symbol_response(epsilon)
     # a guards-only ring repeats every frame, so one frame period of it
     # is the guard reference of every row
-    guards = chain.stream(np.zeros((1, chain.N)))
-    pn_ref = np.fft.ifft(np.fft.fft(guards) * chain.ring_response(g, chain.F))
+    pn_ref = np.fft.ifft(chain.guard_spectrum * chain.ring_response(g, chain.F))
     ring_h = chain.ring_response(g, B * chain.F)
     h_eq = None  # estimated from each burst's guards
     if mc.equalizer == "known":
-        h_eq = equivalent_response(cfg.channel, cfg.frame.alpha, epsilon, chain.N).h
+        h_eq = chain.images.response(epsilon).h
 
     bit_errors = bits = axis_errors = axes = 0
     burst_idx = 0
@@ -402,16 +419,16 @@ def measure_chain_response(cfg: ScenarioConfig, epsilon: float) -> np.ndarray:
     return chain.ring_response(chain.symbol_response(epsilon), chain.N)
 
 
-def _response_for(cfg: ScenarioConfig, epsilon: float) -> EquivResponse:
+def _responses(cfg: ScenarioConfig, epsilons) -> list[EquivResponse]:
+    """Analytic equivalent response at each phase: the closed form on an
+    ideal channel, the aliased-image sum otherwise."""
+    alpha, n = cfg.frame.alpha, cfg.frame.n_fft
     if cfg.channel.is_identity:
-        f = np.arange(cfg.frame.n_fft) / cfg.frame.n_fft
-        return EquivResponse(
-            h=awgn_response(cfg.frame.alpha, epsilon, f),
-            epsilon=epsilon,
-            alpha=cfg.frame.alpha,
-            profile_name="awgn",
-        )
-    return equivalent_response(cfg.channel, cfg.frame.alpha, epsilon, cfg.frame.n_fft)
+        f = np.arange(n) / n
+        return [EquivResponse(awgn_response(alpha, eps, f), eps, alpha, "awgn")
+                for eps in epsilons]
+    images = ImageSum(cfg.channel, alpha, n)
+    return [images.response(eps) for eps in epsilons]
 
 
 def run_theory(
@@ -428,8 +445,7 @@ def run_theory(
     eps_list = [cfg.epsilon] if epsilons is None else list(epsilons)
     order = cfg.frame.constellation().order
     points: list[BerPoint] = []
-    for eps in eps_list:
-        resp = _response_for(cfg, eps)
+    for eps, resp in zip(eps_list, _responses(cfg, eps_list)):
         for ebn0 in cfg.ebn0_sweep:
             if order == 2:
                 ber = bpsk_theoretical_ber(resp, ebn0)
@@ -479,10 +495,12 @@ def grid_search_ber_oracle(
     Returns the phase with the smallest measured BER (ties toward the
     smallest |phase|) and every phase's point.
     """
-    grid = cfg.grid() if grid is None else grid
-    chain = _Chain(cfg)
-    ref = cfg.ref_ebn0
-    e_idx = len(cfg.ebn0_sweep)  # distinct from sweep indices, fixed
+    return _grid_search(_Chain(cfg), cfg.grid() if grid is None else grid)
+
+
+def _grid_search(chain: _Chain, grid: PhaseGrid) -> tuple[float, dict[float, BerPoint]]:
+    ref = chain.cfg.ref_ebn0
+    e_idx = len(chain.cfg.ebn0_sweep)  # distinct from sweep indices, fixed
     results: dict[float, BerPoint] = {}
     for p_idx, eps in enumerate(grid.phases):
         results[float(eps)] = _run_point(chain, float(eps), ref, e_idx, 1 + p_idx)
@@ -520,8 +538,12 @@ def run_str_baseline(
     hand to the demodulator; over an ideal channel it recovers the
     injected delay.
     """
-    chain = _Chain(cfg)
     eps = cfg.epsilon if injected_epsilon is None else injected_epsilon
+    return _str_baseline(_Chain(cfg), eps, n_frames, loop_gain)
+
+
+def _str_baseline(chain: _Chain, eps: float, n_frames=40, loop_gain=0.5) -> StrReport:
+    cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57D]))
     labels = chain.draw_labels(rng, n_frames)
     rx = chain.front_end(chain.stream(chain.const.points[labels]), cfg.ref_ebn0, rng)
@@ -536,7 +558,7 @@ def run_str_baseline(
         n_frames,
         chain.L,
         cfg.frame.frame_len,
-        guard_offset=rx.origin + chain.pad * chain.L - base,
+        guard_offset=rx.origin - base,
     )
     return StrReport(
         state=state,
@@ -572,20 +594,20 @@ class CriterionReport:
 
 
 def _pn_estimated_responses(
-    cfg: ScenarioConfig, grid: PhaseGrid
+    chain: _Chain, grid: PhaseGrid
 ) -> dict[float, EquivResponse]:
     """Estimate |H| per candidate phase from one noisy realization."""
-    chain = _Chain(cfg)
+    cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
     B = max(cfg.mc.frames_per_burst, 4)
     labels = chain.draw_labels(rng, B)
     rx = chain.front_end(chain.stream(chain.const.points[labels]), cfg.ref_ebn0, rng)
+    # stream indices of the inner frames' estimation windows
+    at = chain.estimation_windows(np.arange(B * chain.F).reshape(B, chain.F)[1:-1])
 
     out: dict[float, EquivResponse] = {}
     for eps in grid.phases:
-        sym = chain.sample(rx, float(eps))
-        rows = sym[chain.pad : chain.pad + B * chain.F].reshape(B, chain.F)
-        windows = chain.estimation_windows(rows[1:-1])
+        windows = chain.sample(rx, float(eps), at)
         out[float(eps)] = estimate_response_from_pn(
             windows, chain.pn, chain.N, guard_amplitude=cfg.frame.guard_amplitude
         )
@@ -601,27 +623,27 @@ def run_criterion(cfg: ScenarioConfig) -> CriterionReport:
     and the full grid-search oracle at the reference Eb/N0.
     """
     grid = cfg.grid()
+    # one chain for every part of the run; its scenario has the one-point
+    # sweep at the reference Eb/N0 the measured points use
+    chain = _Chain(replace(cfg, ebn0_sweep=(cfg.ref_ebn0,)))
     if cfg.criterion.estimator == "pn":
-        responses = _pn_estimated_responses(cfg, grid)
+        responses = _pn_estimated_responses(chain, grid)
     else:
-        responses = {
-            float(eps): _response_for(cfg, float(eps)) for eps in grid.phases
-        }
+        phases = [float(eps) for eps in grid.phases]
+        responses = dict(zip(phases, _responses(cfg, phases)))
     crit = band_power_criterion(responses, cfg.frame.alpha, cfg.frame.n_fft)
 
-    point_cfg = replace(cfg, ebn0_sweep=(cfg.ref_ebn0,))
-    chain = _Chain(point_cfg)
     chosen_point = _run_point(chain, crit.chosen, cfg.ref_ebn0, 0, 9001)
 
     report = CriterionReport(criterion=crit, chosen_point=chosen_point)
 
     if cfg.criterion.with_str:
-        report.str_report = run_str_baseline(cfg, injected_epsilon=0.0)
+        report.str_report = _str_baseline(chain, 0.0)
         report.str_point = _run_point(
             chain, report.str_report.epsilon_hat, cfg.ref_ebn0, 0, 9002
         )
     if cfg.criterion.with_oracle:
-        phase, points = grid_search_ber_oracle(point_cfg, grid)
+        phase, points = _grid_search(chain, grid)
         report.oracle_phase = phase
         report.oracle_points = points
     return report

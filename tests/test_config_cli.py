@@ -1,6 +1,7 @@
 """Tests for scenario files and the command-line front end."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -97,12 +98,26 @@ class TestConfigFiles:
              "equalizer"),
             ("max_frames = 400", "max_frames = 400\nframes_per_burst = 0",
              "frames_per_burst"),
+            ("seed = 5", "seed = -1", "non-negative"),
         ]:
             path = tmp_path / "bad.cfg"
             path.write_text(MINIMAL.replace(old, new))
             with pytest.raises(ConfigError, match=match) as exc:
                 load_scenario(path)
             assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(ebn0_sweep=(math.nan,)), "finite"),
+        (dict(ebn0_sweep=(6.0, math.inf)), "finite"),
+        (dict(reference_ebn0=math.nan), "finite"),
+        (dict(reference_ebn0=-math.inf), "finite"),
+        (dict(epsilon=math.nan), "epsilon"),
+        (dict(epsilon=math.inf), "epsilon"),
+        (dict(seed=-1), "non-negative"),
+    ])
+    def test_bad_values_rejected_in_python(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig(**kwargs)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -346,6 +361,9 @@ class TestCli:
         ["simulate", "--ebn0", "8,inf"],
         ["response", "--phases", "0,nan"],
         ["theory", "--epsilon", "nan"],
+        ["simulate", "--seed", "-1", "--ebn0", "8"],
+        ["response", "--phases", "3"],
+        ["response", "--phases", "0,-0.75"],
     ])
     def test_bad_override_exits_2(self, cfg_file, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdslink.analysis import default_phase_grid
-from tdslink.channel import AWGN_PROFILE, ChannelProfile, awgn_response
+from tdslink.channel import (
+    AWGN_PROFILE,
+    ChannelProfile,
+    add_awgn,
+    apply_channel,
+    awgn_response,
+)
 from tdslink.config import McConfig, ScenarioConfig
-from tdslink.dsp import qfunc
-from tdslink.frame import FrameConfig
+from tdslink.dsp import SignalBuffer, apply_fir, delay, qfunc
+from tdslink.frame import FrameConfig, shape_symbols
 from tdslink.montecarlo import (
     Source,
     _Chain,
@@ -175,6 +181,40 @@ class TestChainResponse:
             assert 20 * np.log10(err) < -50.0
 
 
+def explicit_front_end(chain, symbols, ebn0_db=None, rng=None):
+    """The oversampled path written out stage by stage: zero-pad by
+    ``pad``, shape, propagate, add noise, matched-filter; ``origin`` at
+    the first stream symbol."""
+    tx = shape_symbols(np.pad(symbols, chain.pad), chain.L, chain.taps)
+    if not chain.cfg.channel.is_identity:
+        tx = apply_channel(tx, chain.cfg.channel)
+    if ebn0_db is not None:
+        noisy = add_awgn(tx.samples, ebn0_db, chain.k, chain.L, rng,
+                         chain.body_power_ovs)
+        tx = SignalBuffer(noisy, tx.sps, tx.origin)
+    rx = apply_fir(tx, chain.taps)
+    return SignalBuffer(rx.samples, rx.sps, rx.origin + chain.pad * chain.L)
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("profile, n_upsam", [
+        (ChannelProfile(delays=[0.0, 0.8, 3.25], gains=[1.0, 0.4j, -0.3]), 4),
+        (ChannelProfile(delays=[0.3, 5.5], gains=[1.0, 0.5]), 2),
+        (AWGN_PROFILE, 4),
+    ])
+    @pytest.mark.parametrize("ebn0_db", [None, 10.0])
+    def test_cached_response_equals_explicit_path(self, profile, n_upsam, ebn0_db):
+        chain = _Chain(_cfg(channel=profile,
+                            frame=FrameConfig(n_fft=128, pn_len=32, n_upsam=n_upsam)))
+        data = chain.const.points[chain.draw_labels(np.random.default_rng(2), 3)]
+        stream = chain.stream(data)
+        fast = chain.front_end(stream, ebn0_db, np.random.default_rng(3))
+        ref = explicit_front_end(chain, stream, ebn0_db, np.random.default_rng(3))
+        assert (fast.origin, fast.sps, len(fast)) == (ref.origin, ref.sps, len(ref))
+        scale = np.max(np.abs(ref.samples))
+        assert np.max(np.abs(fast.samples - ref.samples)) <= 1e-12 * scale
+
+
 @pytest.fixture(scope="module")
 def noisy_front_end():
     cfg = _cfg(channel=ChannelProfile(delays=[0.0, 0.8], gains=[1.0, 0.4j]))
@@ -184,13 +224,39 @@ def noisy_front_end():
     return chain, chain.front_end(chain.stream(data), 10.0, rng)
 
 
+def _readable(chain, rx, eps):
+    """First and last symbol index whose full-stream sample exists."""
+    base = round(-eps * chain.L)
+    lo = -((rx.origin - base) // chain.L)
+    return lo, lo + (len(rx) - 1 - (rx.origin - base + lo * chain.L)) // chain.L
+
+
 class TestPhaseSampling:
     @given(st.integers(min_value=-64, max_value=64))
     @settings(max_examples=30, deadline=None)
     def test_one_symbol_later_is_one_index_later(self, noisy_front_end, k):
         chain, rx = noisy_front_end
         eps = k / 128  # dyadic, so eps * L and (eps + 1) * L are exact
-        assert np.array_equal(chain.sample(rx, eps + 1), chain.sample(rx, eps)[1:])
+        at = np.arange(10, 400, 3)
+        assert np.array_equal(chain.sample(rx, eps + 1, at), chain.sample(rx, eps, at + 1))
+
+    @given(eps=st.floats(-0.5, 0.5) | st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5]),
+           ends=st.lists(st.integers(0, 40), min_size=1, max_size=20),
+           middle=st.lists(st.integers(0, 10**6), max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_full_stream_delay(self, noisy_front_end, eps, ends, middle):
+        chain, rx = noisy_front_end
+        lo, hi = _readable(chain, rx, eps)
+        # indices near both ends of the buffer, and anywhere between
+        at = np.array([lo + e for e in ends] + [hi - e for e in ends]
+                      + [lo + m % (hi - lo + 1) for m in middle])
+        arr, base = delay(rx.samples, -eps * chain.L)
+        full = arr[rx.origin - base + at * chain.L]
+        got = chain.sample(rx, eps, at)
+        if (eps * chain.L).is_integer():  # whole samples: read, not computed
+            assert np.array_equal(got, full)
+        else:
+            assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(rx.samples))
 
 
 _profiles = st.lists(
@@ -214,11 +280,12 @@ class TestSymbolResponse:
         rng = np.random.default_rng(5)
         ring = chain.stream(chain.const.points[chain.draw_labels(rng, n_frames)])
         g = chain.symbol_response(eps)
-        # the ring repeated past the response's support on both sides
+        # the ring repeated past the response's support on both sides, sent
+        # through the explicit oversampled path and sampled in full
         ext = g.size
-        start = chain.pad + ext
-        full = chain.receive(np.pad(ring, ext, mode="wrap"), eps)
-        full = full[start : start + ring.size]
+        rx = explicit_front_end(chain, np.pad(ring, ext, mode="wrap"))
+        arr, base = delay(rx.samples, -eps * chain.L)
+        full = arr[rx.origin - base + ext * chain.L :: chain.L][: ring.size]
         fast = np.fft.ifft(np.fft.fft(ring) * chain.ring_response(g, ring.size))
         assert np.max(np.abs(fast - full)) <= 1e-12 * np.max(np.abs(full))
 
