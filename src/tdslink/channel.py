@@ -179,8 +179,7 @@ class ImageSum:
     """
 
     def __init__(self, profile: ChannelProfile, alpha: float, n_fft: int):
-        self.alpha = alpha
-        self.profile_name = profile.name
+        self.alpha, self.profile_name = alpha, profile.name
         f = np.arange(n_fft) / n_fft
         self.images = []
         for k in range(-2, 3):

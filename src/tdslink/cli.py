@@ -180,14 +180,10 @@ def _cmd_response(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
             raise ConfigError(f"--phases must lie in [-0.5, 0.5], got {args.phases}")
     else:
         phases = _grid_phases(cfg)
-    n = cfg.frame.n_fft
-    f = np.arange(n) / n
+    f = np.arange(cfg.frame.n_fft) / cfg.frame.n_fft
     rows = []
     for eps, resp in zip(phases, _responses(cfg, phases)):
-        mag = np.abs(resp.h)
-        rows.extend(
-            f"{f[i]:.10g},{eps:.10g},{mag[i]:.10g}" for i in range(n)
-        )
+        rows.extend(f"{x:.10g},{eps:.10g},{m:.10g}" for x, m in zip(f, np.abs(resp.h)))
     return rows, {"phases": phases}, False
 
 

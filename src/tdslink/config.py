@@ -106,8 +106,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.ebn0_sweep:
             raise ConfigError("ebn0 sweep is empty")
-        ref = () if self.reference_ebn0 is None else (self.reference_ebn0,)
-        if not all(map(math.isfinite, (*self.ebn0_sweep, *ref))):
+        if not all(map(math.isfinite, (*self.ebn0_sweep, self.reference_ebn0 or 0))):
             raise ConfigError("ebn0 sweep and reference_ebn0 must be finite")
         if list(self.ebn0_sweep) != sorted(self.ebn0_sweep):
             raise ConfigError("ebn0 sweep must be sorted ascending")

@@ -12,11 +12,10 @@ A burst's frames form a ring: the noiseless chain is one circular
 convolution of the frames with the phase's symbol-rate impulse response,
 so every frame has neighbours on both sides and every frame is measured,
 with one fold, FFT, slice and bit count per burst.  The oversampled
-waveform path (shaping -> channel -> matched filter) runs once per
-scenario, on one unit symbol, when first needed (the theory runners never
-need it).  Noisy streams (timing-recovery baseline, PN estimator) are
-convolved with that response, and each phase interpolates it only at the
-symbol instants read: a symbol-rate response's support, or guard windows.
+path (shaping -> channel -> matched filter) runs once per scenario, on one
+unit symbol, when first needed; noisy streams (timing-recovery baseline,
+PN estimator) are convolved with that response, and each phase reads it
+only at the symbol instants used: a response's support, or guard windows.
 
 Symbol errors are counted per quadrature axis (each square-QAM symbol is
 two Gray-coded PAM decisions), the same quantity
@@ -108,6 +107,7 @@ class BerPoint:
 
 
 CSV_HEADER = "ebn0_db,epsilon,modulation,ser,ber,bits,errors,source"
+_STR_FRAMES, _STR_LOOP_GAIN = 40, 0.5  # timing-recovery baseline defaults
 
 
 @dataclass
@@ -142,8 +142,7 @@ class _Chain:
         self.pad = self.tail + 2
         # per-sample power of the shaped body at the oversampled rate
         self.body_power_ovs = 1.0 / (self.N * self.L)
-        # the known equalizer, and one frame period of a guards-only ring
-        self.images = ImageSum(cfg.channel, f.alpha, self.N)
+        # one frame period of a guards-only ring
         self.guard_spectrum = np.fft.fft(self.stream(np.zeros((1, self.N))))
 
     def draw_labels(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
@@ -159,6 +158,11 @@ class _Chain:
         return np.concatenate(
             [build_frame(d, self.pn, self.cfg.frame).samples for d in data_rows]
         )
+
+    @cached_property
+    def images(self) -> ImageSum:
+        """The aliased sum behind the known equalizer, built on first use."""
+        return ImageSum(self.cfg.channel, self.cfg.frame.alpha, self.N)
 
     @cached_property
     def response(self) -> SignalBuffer:
@@ -524,8 +528,8 @@ class StrReport:
 
 def run_str_baseline(
     cfg: ScenarioConfig,
-    n_frames: int = 40,
-    loop_gain: float = 0.5,
+    n_frames: int = _STR_FRAMES,
+    loop_gain: float = _STR_LOOP_GAIN,
     injected_epsilon: float | None = None,
 ) -> StrReport:
     """Track the PN correlation loop over a noisy realization.
@@ -542,7 +546,7 @@ def run_str_baseline(
     return _str_baseline(_Chain(cfg), eps, n_frames, loop_gain)
 
 
-def _str_baseline(chain: _Chain, eps: float, n_frames=40, loop_gain=0.5) -> StrReport:
+def _str_baseline(chain, eps: float, n_frames: int, loop_gain: float) -> StrReport:
     cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57D]))
     labels = chain.draw_labels(rng, n_frames)
@@ -638,7 +642,7 @@ def run_criterion(cfg: ScenarioConfig) -> CriterionReport:
     report = CriterionReport(criterion=crit, chosen_point=chosen_point)
 
     if cfg.criterion.with_str:
-        report.str_report = _str_baseline(chain, 0.0)
+        report.str_report = _str_baseline(chain, 0.0, _STR_FRAMES, _STR_LOOP_GAIN)
         report.str_point = _run_point(
             chain, report.str_report.epsilon_hat, cfg.ref_ebn0, 0, 9002
         )
