@@ -48,8 +48,7 @@ from .frame import (
     Constellation,
     FrameConfig,
     PnSequence,
-    TdsFrame,
-    build_frame,
+    build_frames,
     generate_pn,
     make_constellation,
 )

@@ -28,6 +28,7 @@ from .config import (
     scenario_fingerprint,
 )
 from .montecarlo import (
+    _STR_FRAMES,
     CSV_HEADER,
     BerCurve,
     _responses,
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--phases", help="comma-separated phases (default: scenario phase)"
             )
         if name == "str-baseline":
-            p.add_argument("--frames", type=int, default=40)
+            p.add_argument("--frames", type=int, default=_STR_FRAMES)
     return parser
 
 

@@ -89,7 +89,8 @@ class CriterionOptions:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one experiment."""
+    """Complete description of one experiment; ``srrc``, the shaping
+    filter design, is derived from it and checked with it."""
 
     frame: FrameConfig = field(default_factory=FrameConfig)
     srrc_span: int = 16
@@ -114,14 +115,8 @@ class ScenarioConfig:
             raise ConfigError(f"epsilon must be in [-0.5, 0.5], got {self.epsilon}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    @property
-    def srrc(self) -> SrrcSpec:
-        return SrrcSpec(
-            alpha=self.frame.alpha,
-            span_symbols=self.srrc_span,
-            samples_per_symbol=self.frame.n_upsam,
-        )
+        srrc = SrrcSpec(self.frame.alpha, self.srrc_span, self.frame.n_upsam)
+        object.__setattr__(self, "srrc", srrc)
 
     @property
     def ref_ebn0(self) -> float:

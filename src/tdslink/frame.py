@@ -1,9 +1,10 @@
 """Frame construction: PN guards, Gray-mapped QAM, and transmit shaping.
 
 A frame is a PN guard interval (one or two copies of the same sequence)
-followed by a time-domain OFDM block, all at symbol rate.  The shaped
-transmit stream is the zero-stuffed, SRRC-filtered concatenation of
-frames.
+followed by a time-domain OFDM block, all at symbol rate.  Frames are
+built as one (rows, frame_len) block, one frame per row; the block read
+row after row is the symbol stream.  The shaped transmit stream is that
+stream zero-stuffed and SRRC-filtered.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ __all__ = [
     "Constellation",
     "FrameConfig",
     "PnSequence",
-    "TdsFrame",
-    "build_frame",
+    "build_frames",
     "detect_labels",
     "generate_pn",
     "make_constellation",
@@ -76,9 +76,9 @@ def generate_pn(length: int, poly: int | None = None, seed: int = 1) -> PnSequen
         poly = default_pn_poly(length)
     degree = poly.bit_length() - 1
     if degree < 2:
-        raise ValueError(f"polynomial 0x{poly:x} has degree < 2")
+        raise ValueError(f"PN polynomial 0x{poly:x} has degree < 2")
     if not 0 < seed < 2**degree:
-        raise ValueError(f"seed must be a nonzero {degree}-bit state, got {seed}")
+        raise ValueError(f"PN seed must be a nonzero {degree}-bit state, got {seed}")
     taps = poly >> 1
     state = seed
     chips = np.empty(length)
@@ -198,7 +198,8 @@ def detect_labels(symbols: np.ndarray, constellation: Constellation) -> np.ndarr
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Geometry and modulation of one transmitted frame."""
+    """Geometry and modulation of one transmitted frame; ``pn``, the
+    guard sequence, is built from it and checked with it."""
 
     n_fft: int = 1024
     pn_len: int = 128
@@ -221,6 +222,8 @@ class FrameConfig:
             raise ValueError("upsampling factor must be >= 2")
         if self.modulation.lower() not in _MODULATION_ORDERS:
             raise ValueError(f"unknown modulation {self.modulation!r}")
+        pn = generate_pn(self.pn_len, self.pn_poly, self.pn_seed)
+        object.__setattr__(self, "pn", pn)
 
     @property
     def guard_len(self) -> int:
@@ -242,45 +245,28 @@ class FrameConfig:
             return self.pn_amplitude
         return 1.0 / math.sqrt(self.n_fft)
 
-    def make_pn(self) -> PnSequence:
-        return generate_pn(self.pn_len, self.pn_poly, self.pn_seed)
-
     def constellation(self) -> Constellation:
         return make_constellation(self.modulation)
 
 
-@dataclass(frozen=True)
-class TdsFrame:
-    """Guard followed by the time-domain OFDM block, at symbol rate."""
-
-    guard: np.ndarray
-    body: np.ndarray
-
-    @property
-    def samples(self) -> np.ndarray:
-        return np.concatenate([self.guard, self.body])
-
-    def __len__(self) -> int:
-        return self.guard.size + self.body.size
-
-
-def build_frame(
-    data_syms: np.ndarray, pn: PnSequence, cfg: FrameConfig
-) -> TdsFrame:
-    """Assemble guard + IDFT body for one frame."""
-    data_syms = np.asarray(data_syms, dtype=np.complex128)
-    if data_syms.size != cfg.n_fft:
+def build_frames(data_rows: np.ndarray, pn: PnSequence, cfg: FrameConfig) -> np.ndarray:
+    """A (rows, frame_len) block, one frame per row of ``n_fft`` data
+    symbols: the guard, then the IDFT of the row.  All-zero rows give the
+    guards alone."""
+    data_rows = np.asarray(data_rows, dtype=np.complex128)
+    if data_rows.ndim != 2 or data_rows.shape[1] != cfg.n_fft:
         raise ValueError(
-            f"expected {cfg.n_fft} data symbols, got {data_syms.size}"
+            f"expected rows of {cfg.n_fft} data symbols, got shape {data_rows.shape}"
         )
     if pn.chips.size != cfg.pn_len:
         raise ValueError(
             f"PN length {pn.chips.size} does not match config {cfg.pn_len}"
         )
-    body = np.fft.ifft(data_syms)
-    one_guard = cfg.guard_amplitude * pn.chips
-    guard = np.tile(one_guard, 2) if cfg.dual_pn else one_guard
-    return TdsFrame(guard=guard.astype(np.complex128), body=body)
+    frames = np.empty((data_rows.shape[0], cfg.frame_len), dtype=np.complex128)
+    guard = cfg.guard_amplitude * pn.chips
+    frames[:, : cfg.guard_len] = np.tile(guard, 2) if cfg.dual_pn else guard
+    frames[:, cfg.guard_len :] = np.fft.ifft(data_rows, axis=1)
+    return frames
 
 
 def shape_symbols(symbols: np.ndarray, n_upsam: int, taps: np.ndarray) -> SignalBuffer:

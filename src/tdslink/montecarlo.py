@@ -53,9 +53,9 @@ from .channel import (
     estimate_complex_response_from_pn,
     estimate_response_from_pn,
 )
-from .config import ScenarioConfig, scenario_fingerprint
+from .config import ScenarioConfig
 from .dsp import INTERP_TAPS, SignalBuffer, apply_fir, delay, srrc_taps
-from .frame import build_frame, detect_labels, shape_symbols
+from .frame import build_frames, detect_labels, shape_symbols
 from .str_sync import StrLoopState, converged_sampling_phase, str_track
 
 __all__ = [
@@ -113,7 +113,6 @@ _STR_FRAMES, _STR_LOOP_GAIN = 40, 0.5  # timing-recovery baseline defaults
 @dataclass
 class BerCurve:
     points: list[BerPoint]
-    fingerprint: str
     wall_time_s: float = 0.0
 
     @property
@@ -128,7 +127,7 @@ class _Chain:
         self.cfg = cfg
         f = cfg.frame
         self.taps = srrc_taps(cfg.srrc)
-        self.pn = f.make_pn()
+        self.pn = f.pn
         self.const = f.constellation()
         self.k = self.const.bits_per_symbol
         self.N = f.n_fft
@@ -143,21 +142,20 @@ class _Chain:
         # per-sample power of the shaped body at the oversampled rate
         self.body_power_ovs = 1.0 / (self.N * self.L)
         # one frame period of a guards-only ring
-        self.guard_spectrum = np.fft.fft(self.stream(np.zeros((1, self.N))))
+        self.guard_spectrum = np.fft.fft(
+            build_frames(np.zeros((1, self.N)), self.pn, f)[0]
+        )
 
-    def draw_labels(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
-        """Random (n_frames, N) symbol labels from MSB-first random bits."""
+    def draw_frames(
+        self, rng: np.random.Generator, n_frames: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Random (n_frames, N) symbol labels from MSB-first random bits,
+        and the (n_frames, F) block of frames that carries them."""
         k = self.k
         bits = rng.integers(0, 2, size=(n_frames, self.N * k), dtype=np.int64)
         weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-        return bits.reshape(n_frames, self.N, k) @ weights
-
-    def stream(self, data_rows: np.ndarray) -> np.ndarray:
-        """Symbol stream of one frame per row of data symbols, back to
-        back; all-zero rows give the guards alone."""
-        return np.concatenate(
-            [build_frame(d, self.pn, self.cfg.frame).samples for d in data_rows]
-        )
+        labels = bits.reshape(n_frames, self.N, k) @ weights
+        return labels, build_frames(self.const.points[labels], self.pn, self.cfg.frame)
 
     @cached_property
     def images(self) -> ImageSum:
@@ -286,9 +284,8 @@ def _simulate_burst(
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     k, N, G = chain.k, chain.N, chain.G
 
-    tx_labels = chain.draw_labels(rng, n_frames)
-    ring = chain.stream(chain.const.points[tx_labels])
-    rows = np.fft.ifft(np.fft.fft(ring) * ring_h).reshape(n_frames, chain.F)
+    tx_labels, frames = chain.draw_frames(rng, n_frames)
+    rows = np.fft.ifft(np.fft.fft(frames.ravel()) * ring_h).reshape(frames.shape)
     sigma = math.sqrt(chain.noise_var(ebn0_db) / 2.0)
 
     def noise(shape: tuple[int, int]) -> np.ndarray:
@@ -404,11 +401,7 @@ def run_mc_ber(
         _run_point(chain, eps, ebn0, e_idx, phase_index)
         for e_idx, ebn0 in enumerate(cfg.ebn0_sweep)
     ]
-    return BerCurve(
-        points=points,
-        fingerprint=scenario_fingerprint(cfg),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return BerCurve(points=points, wall_time_s=time.perf_counter() - t0)
 
 
 def measure_chain_response(cfg: ScenarioConfig, epsilon: float) -> np.ndarray:
@@ -484,11 +477,7 @@ def run_theory(
                         source=Source.CHERNOFF,
                     )
                 )
-    return BerCurve(
-        points=points,
-        fingerprint=scenario_fingerprint(cfg),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return BerCurve(points=points, wall_time_s=time.perf_counter() - t0)
 
 
 def grid_search_ber_oracle(
@@ -519,7 +508,6 @@ def _grid_search(chain: _Chain, grid: PhaseGrid) -> tuple[float, dict[float, Ber
 class StrReport:
     state: StrLoopState
     epsilon_hat: float
-    n_frames: int
 
     @property
     def converged(self) -> bool:
@@ -549,8 +537,8 @@ def run_str_baseline(
 def _str_baseline(chain, eps: float, n_frames: int, loop_gain: float) -> StrReport:
     cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57D]))
-    labels = chain.draw_labels(rng, n_frames)
-    rx = chain.front_end(chain.stream(chain.const.points[labels]), cfg.ref_ebn0, rng)
+    _, frames = chain.draw_frames(rng, n_frames)
+    rx = chain.front_end(frames.ravel(), cfg.ref_ebn0, rng)
     # the injected phase delays the waveform seen by the tracker; its
     # whole-sample part shifts where the tracker reads
     arr, base = delay(rx.samples, eps * chain.L)
@@ -564,11 +552,7 @@ def _str_baseline(chain, eps: float, n_frames: int, loop_gain: float) -> StrRepo
         cfg.frame.frame_len,
         guard_offset=rx.origin - base,
     )
-    return StrReport(
-        state=state,
-        epsilon_hat=converged_sampling_phase(state, chain.L),
-        n_frames=n_frames,
-    )
+    return StrReport(state=state, epsilon_hat=converged_sampling_phase(state, chain.L))
 
 
 @dataclass
@@ -604,8 +588,8 @@ def _pn_estimated_responses(
     cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
     B = max(cfg.mc.frames_per_burst, 4)
-    labels = chain.draw_labels(rng, B)
-    rx = chain.front_end(chain.stream(chain.const.points[labels]), cfg.ref_ebn0, rng)
+    _, frames = chain.draw_frames(rng, B)
+    rx = chain.front_end(frames.ravel(), cfg.ref_ebn0, rng)
     # stream indices of the inner frames' estimation windows
     at = chain.estimation_windows(np.arange(B * chain.F).reshape(B, chain.F)[1:-1])
 

@@ -20,7 +20,7 @@ from tdslink.config import (
     ScenarioConfig,
     load_scenario,
 )
-from tdslink.frame import FrameConfig
+from tdslink.frame import FrameConfig, default_pn_poly
 from tdslink.montecarlo import CSV_HEADER
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -99,6 +99,10 @@ class TestConfigFiles:
             ("max_frames = 400", "max_frames = 400\nframes_per_burst = 0",
              "frames_per_burst"),
             ("seed = 5", "seed = -1", "non-negative"),
+            ("dual_pn = true", "dual_pn = true\npn_poly = 1", "degree < 2"),
+            ("dual_pn = true", "dual_pn = true\npn_seed = 0", "nonzero 6-bit"),
+            ("dual_pn = true", "dual_pn = true\npn_seed = 4096", "nonzero 6-bit"),
+            ("seed = 5", "seed = 5\n[srrc]\nspan_symbols = 2", "span"),
         ]:
             path = tmp_path / "bad.cfg"
             path.write_text(MINIMAL.replace(old, new))
@@ -199,15 +203,18 @@ def round_trip(cfg: ScenarioConfig) -> None:
 
 @st.composite
 def scenarios(draw) -> ScenarioConfig:
+    pn_len = draw(st.integers(16, 600))
+    pn_poly = draw(st.none() | st.integers(4, 4095))  # degree >= 2
+    degree = (pn_poly or default_pn_poly(pn_len)).bit_length() - 1
     frame = FrameConfig(
         n_fft=draw(st.sampled_from([4, 256, 2048])),
-        pn_len=draw(st.integers(16, 600)),
+        pn_len=pn_len,
         dual_pn=draw(st.booleans()),
         modulation=draw(st.sampled_from(["bpsk", "qam16", "qam64", "qam256"])),
         n_upsam=draw(st.integers(2, 16)),
         alpha=draw(st.floats(0.001, 1.0)),
-        pn_poly=draw(st.none() | st.integers(0, 4095)),
-        pn_seed=draw(st.integers(1, 4095)),
+        pn_poly=pn_poly,
+        pn_seed=draw(st.integers(1, 2**degree - 1)),
         pn_amplitude=draw(st.none() | st.floats(1e-3, 10.0)),
     )
     delays = draw(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4, unique=True))
@@ -223,7 +230,7 @@ def scenarios(draw) -> ScenarioConfig:
     frames_per_burst = draw(st.integers(1, 16))
     return ScenarioConfig(
         frame=frame,
-        srrc_span=draw(st.integers(1, 64)),
+        srrc_span=draw(st.integers(4, 64)),
         channel=channel,
         epsilon=0.0 if grid else draw(st.floats(-0.5, 0.5)),
         phase_grid=default_phase_grid(grid) if grid else None,
@@ -385,6 +392,22 @@ class TestCli:
         sidecar = json.loads(Path(str(out) + ".json").read_text())
         assert sidecar["config"]["epsilon"] == 0.1
         assert sidecar["config"]["phase_grid"] is None
+
+    def test_value_only_the_chain_would_reject_exits_2(self, tmp_path, capsys):
+        # a PN seed or SRRC span that loaded once failed only inside the
+        # run (a traceback), or not at all for the theory runner
+        for command, old, new in [
+            ("simulate", "dual_pn = true", "dual_pn = true\npn_seed = 0"),
+            ("theory", "seed = 5", "seed = 5\n[srrc]\nspan_symbols = 2"),
+        ]:
+            path = tmp_path / "bad.cfg"
+            path.write_text(MINIMAL.replace(old, new))
+            out = tmp_path / "x.csv"
+            rc = main([command, "--config", str(path), "--ebn0", "8",
+                       "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+            assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["theory", "--config", str(tmp_path / "gone.cfg")])

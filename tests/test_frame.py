@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tdslink.dsp import SrrcSpec, srrc_taps
 from tdslink.frame import (
     FrameConfig,
-    build_frame,
+    build_frames,
     detect_labels,
     generate_pn,
     make_constellation,
@@ -201,33 +201,51 @@ class TestFrameAssembly:
 
     def test_flat_spectrum_gives_impulse_body(self):
         cfg = self._cfg()
-        pn = cfg.make_pn()
-        frame = build_frame(np.ones(8, dtype=complex), pn, cfg)
-        expected = np.zeros(8, dtype=complex)
-        expected[0] = 1.0
-        assert np.allclose(frame.body, expected, atol=1e-14)
+        data = np.ones((3, 8), dtype=complex)
+        data[1] *= -2.0
+        frames = build_frames(data, cfg.pn, cfg)
+        assert frames.shape == (3, 16 + 8)
+        expected = np.zeros((3, 8), dtype=complex)
+        expected[:, 0] = [1.0, -2.0, 1.0]
+        assert np.allclose(frames[:, 16:], expected, atol=1e-14)
+        guard = cfg.guard_amplitude * cfg.pn.chips
+        assert all(np.array_equal(row[:16], guard) for row in frames)
 
     def test_dual_pn_length(self):
         cfg = FrameConfig(n_fft=64, pn_len=16, dual_pn=True, modulation="bpsk")
-        pn = cfg.make_pn()
-        frame = build_frame(np.ones(64, dtype=complex), pn, cfg)
-        assert len(frame) == 64 + 2 * 16
-        assert np.array_equal(frame.guard[:16], frame.guard[16:])
+        frames = build_frames(np.ones((2, 64), dtype=complex), cfg.pn, cfg)
+        assert frames.shape == (2, 64 + 2 * 16)
+        assert np.array_equal(frames[:, :16], frames[:, 16:32])
+        assert np.array_equal(frames[0, :32], frames[1, :32])
 
     def test_frame_energy_identity(self):
         cfg = self._cfg(n_fft=64)
-        pn = cfg.make_pn()
         rng = np.random.default_rng(1)
-        data = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        frame = build_frame(data, pn, cfg)
-        guard_energy = np.sum(np.abs(frame.guard) ** 2)
-        expected = guard_energy + np.sum(np.abs(data) ** 2) / 64
-        assert np.sum(np.abs(frame.samples) ** 2) == pytest.approx(expected, rel=1e-12)
+        data = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+        frames = build_frames(data, cfg.pn, cfg)
+        guard_energy = np.sum(np.abs(frames[:, : cfg.guard_len]) ** 2, axis=1)
+        expected = guard_energy + np.sum(np.abs(data) ** 2, axis=1) / 64
+        energy = np.sum(np.abs(frames) ** 2, axis=1)
+        assert energy == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_length_mismatch(self):
         cfg = self._cfg()
-        with pytest.raises(ValueError):
-            build_frame(np.ones(4, dtype=complex), cfg.make_pn(), cfg)
+        for shape in [(2, 4), (2, 16), (8,), (2, 2, 8)]:  # wrong rows; not 2-D
+            with pytest.raises(ValueError, match="rows of 8 data symbols"):
+                build_frames(np.ones(shape, dtype=complex), cfg.pn, cfg)
+
+    @given(n_fft=st.sampled_from([8, 64, 1024]), dual_pn=st.booleans(),
+           rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_block_is_rows_built_one_at_a_time(self, n_fft, dual_pn, rows, seed):
+        cfg = self._cfg(n_fft=n_fft, dual_pn=dual_pn)
+        rng = np.random.default_rng(seed)
+        shape = (rows, n_fft)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        block = build_frames(data, cfg.pn, cfg)
+        stacked = np.concatenate([build_frames(d[None], cfg.pn, cfg) for d in data])
+        assert block.shape == (rows, cfg.frame_len)
+        assert block.tobytes() == stacked.tobytes()
 
     def test_rejects_non_power_of_two_fft(self):
         for n_fft in (12, 7):
@@ -252,11 +270,9 @@ class TestTransmitChain:
     def test_output_length(self):
         cfg = FrameConfig(n_fft=64, pn_len=16, dual_pn=False, modulation="bpsk")
         spec = SrrcSpec(0.05, 8, 4)
-        pn = cfg.make_pn()
-        frame = build_frame(np.ones(64, dtype=complex), pn, cfg)
-        symbols = np.concatenate([frame.samples, frame.samples])
-        out = shape_symbols(symbols, cfg.n_upsam, srrc_taps(spec))
-        n_syms = 2 * len(frame)
+        frames = build_frames(np.ones((2, 64), dtype=complex), cfg.pn, cfg)
+        out = shape_symbols(frames.ravel(), cfg.n_upsam, srrc_taps(spec))
+        n_syms = frames.size
         assert len(out) == 4 * n_syms + spec.n_taps - 1
 
     def test_out_of_band_power_suppressed(self):
@@ -264,9 +280,9 @@ class TestTransmitChain:
         spec = SrrcSpec(0.05, 16, 4)
         rng = np.random.default_rng(2)
         const = cfg.constellation()
-        data = const.points[rng.integers(0, 16, 4096)]
-        frame = build_frame(data, cfg.make_pn(), cfg)
-        out = shape_symbols(frame.samples, cfg.n_upsam, srrc_taps(spec))
+        data = const.points[rng.integers(0, 16, (1, 4096))]
+        frame = build_frames(data, cfg.pn, cfg)[0]
+        out = shape_symbols(frame, cfg.n_upsam, srrc_taps(spec))
         # oracle: periodogram split at the roll-off edge
         spectrum = np.abs(np.fft.fft(out.samples)) ** 2
         f = np.fft.fftfreq(out.samples.size) * 4  # cycles per symbol

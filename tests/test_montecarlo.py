@@ -206,8 +206,7 @@ class TestFrontEnd:
     def test_cached_response_equals_explicit_path(self, profile, n_upsam, ebn0_db):
         chain = _Chain(_cfg(channel=profile,
                             frame=FrameConfig(n_fft=128, pn_len=32, n_upsam=n_upsam)))
-        data = chain.const.points[chain.draw_labels(np.random.default_rng(2), 3)]
-        stream = chain.stream(data)
+        stream = chain.draw_frames(np.random.default_rng(2), 3)[1].ravel()
         fast = chain.front_end(stream, ebn0_db, np.random.default_rng(3))
         ref = explicit_front_end(chain, stream, ebn0_db, np.random.default_rng(3))
         assert (fast.origin, fast.sps, len(fast)) == (ref.origin, ref.sps, len(ref))
@@ -220,8 +219,8 @@ def noisy_front_end():
     cfg = _cfg(channel=ChannelProfile(delays=[0.0, 0.8], gains=[1.0, 0.4j]))
     chain = _Chain(cfg)
     rng = np.random.default_rng(3)
-    data = chain.const.points[chain.draw_labels(rng, 3)]
-    return chain, chain.front_end(chain.stream(data), 10.0, rng)
+    _, frames = chain.draw_frames(rng, 3)
+    return chain, chain.front_end(frames.ravel(), 10.0, rng)
 
 
 def _readable(chain, rx, eps):
@@ -279,7 +278,7 @@ class TestSymbolResponse:
                    frame=FrameConfig(n_fft=128, pn_len=32, n_upsam=n_upsam))
         chain = _Chain(cfg)
         rng = np.random.default_rng(5)
-        ring = chain.stream(chain.const.points[chain.draw_labels(rng, n_frames)])
+        ring = chain.draw_frames(rng, n_frames)[1].ravel()
         g = chain.symbol_response(eps)
         # the ring repeated past the response's support on both sides, sent
         # through the explicit oversampled path and sampled in full
