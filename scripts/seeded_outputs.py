@@ -11,7 +11,8 @@ for bit:
 The check set covers every Monte-Carlo caller at small budgets:
 ``run_mc_ber`` point counts (known and estimated equalizer, multipath,
 single and dual PN, AWGN qam256 and bpsk, the benchmark's N = 1024
-dual-PN longecho geometry, two samples per symbol, one-frame bursts),
+dual-PN longecho geometry, two samples per symbol, one-frame bursts,
+points stopped by ``min_errors`` with two stop-check groupings),
 ``measure_chain_response``, ``run_str_baseline``, the PN-estimated
 responses, ``run_criterion`` with both estimators, and ``detect_labels``
 on fixed random symbols and on a grid of levels, midpoints between
@@ -64,7 +65,7 @@ min_errors = 0x40
 max_frames = 99
 frames_per_burst = 3
 chunk_bursts = 5
-workers = 2
+workers = 1
 equalizer = Estimated
 [run]
 seed = 0xBEEF
@@ -160,6 +161,13 @@ def dump(src: str, out: str) -> None:
                                      ebn0_sweep=(12.0,)),
         "ring_one_frame": cfg(channel=threeray, epsilon=0.2, mc=mc(frames_per_burst=1),
                               ebn0_sweep=(12.0,)),
+        # stopped by min_errors, checked after every burst and every third
+        "errors_stop_chunk1": cfg(channel=threeray, epsilon=0.35, ebn0_sweep=(6.0, 9.0),
+                                  mc=mc(min_bits=1, min_errors=300, max_frames=400,
+                                        chunk_bursts=1)),
+        "errors_stop_chunk3": cfg(channel=threeray, epsilon=0.35, ebn0_sweep=(6.0, 9.0),
+                                  mc=mc(min_bits=1, min_errors=300, max_frames=400,
+                                        chunk_bursts=3)),
     }
     for name, c in points.items():
         res[f"mc/{name}"] = [counts(p) for p in run_mc_ber(c).points]

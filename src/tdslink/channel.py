@@ -30,6 +30,7 @@ __all__ = [
     "estimate_complex_response_from_pn",
     "estimate_response_from_pn",
     "load_profile",
+    "pn_spectrum",
     "wrap_phase",
 ]
 
@@ -232,11 +233,22 @@ def awgn_response(alpha: float, epsilon: float, f) -> np.ndarray:
     return out
 
 
+def pn_spectrum(pn: PnSequence, guard_amplitude: float = 1.0) -> np.ndarray:
+    """DFT of the transmitted guard, the divisor of the PN estimators;
+    ValueError when a bin falls below 1e-6 of the mean magnitude."""
+    ref = np.fft.fft(guard_amplitude * pn.chips)
+    mag = np.abs(ref)
+    bad = mag < 1e-6 * float(np.mean(mag))
+    if np.any(bad):
+        raise ValueError(
+            f"{int(bad.sum())} PN spectrum bins below threshold; "
+            "pick a different generator"
+        )
+    return ref
+
+
 def _pn_ls_estimate(
-    guard_windows: np.ndarray,
-    pn: PnSequence,
-    guard_amplitude: float,
-    spectral_floor: float = 1e-6,
+    guard_windows: np.ndarray, pn: PnSequence, guard_amplitude: float
 ) -> np.ndarray:
     """Per-bin LS estimate DFT(rx)/DFT(tx_guard), averaged over the rows."""
     windows = np.atleast_2d(np.asarray(guard_windows, dtype=np.complex128))
@@ -244,14 +256,7 @@ def _pn_ls_estimate(
         raise ValueError(
             f"guard windows have length {windows.shape[1]}, PN is {pn.chips.size}"
         )
-    ref = np.fft.fft(guard_amplitude * pn.chips)
-    mag = np.abs(ref)
-    bad = mag < spectral_floor * float(np.mean(mag))
-    if np.any(bad):
-        raise ValueError(
-            f"{int(bad.sum())} PN spectrum bins below threshold; "
-            "pick a different generator"
-        )
+    ref = pn_spectrum(pn, guard_amplitude)
     return np.mean(np.fft.fft(windows, axis=1), axis=0) / ref
 
 
@@ -266,7 +271,6 @@ def estimate_response_from_pn(
     pn: PnSequence,
     n_fft: int,
     guard_amplitude: float = 1.0,
-    spectral_floor: float = 1e-6,
 ) -> EquivResponse:
     """Least-squares channel magnitude estimate from received guards.
 
@@ -277,7 +281,7 @@ def estimate_response_from_pn(
     bins.  Only magnitudes are meaningful in the result (the band-power
     phase criterion needs nothing else), so ``h`` is real non-negative.
     """
-    est = _pn_ls_estimate(guard_windows, pn, guard_amplitude, spectral_floor)
+    est = _pn_ls_estimate(guard_windows, pn, guard_amplitude)
     magsq = _interp_bins(np.abs(est) ** 2, n_fft)
     return EquivResponse(
         h=np.sqrt(magsq).astype(np.complex128),

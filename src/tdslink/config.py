@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .analysis import BerMode, PhaseGrid, default_phase_grid
-from .channel import AWGN_PROFILE, ChannelProfile, load_profile
+from .channel import AWGN_PROFILE, ChannelProfile, load_profile, pn_spectrum
 from .dsp import SrrcSpec
 from .frame import FrameConfig
 
@@ -37,13 +37,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte-Carlo stopping rules and execution knobs.
+    """Monte-Carlo stopping rules and receiver choice.
 
     A burst is a ring of ``frames_per_burst`` frames, each of them
-    measured; ``max_frames`` caps the measured frames of a point (whole
-    bursts only).  Stopping conditions are evaluated every
-    ``chunk_bursts`` bursts, a fixed granularity that keeps results
-    independent of worker count.
+    measured; bursts run one after another and ``max_frames`` caps the
+    measured frames of a point (whole bursts only).  A point stops once
+    ``min_bits`` and ``min_errors`` are both met, checked after every
+    ``chunk_bursts`` bursts.
     """
 
     min_bits: int = 2_000_000
@@ -51,7 +51,6 @@ class McConfig:
     max_frames: int = 5000
     frames_per_burst: int = 4
     chunk_bursts: int = 8
-    workers: int = 1
     equalizer: str = "known"
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class McConfig:
             raise ConfigError("max_frames must cover at least one burst")
         if self.chunk_bursts < 1:
             raise ConfigError("chunk_bursts must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
         if self.equalizer not in ("known", "estimated"):
             raise ConfigError(
                 f"equalizer must be 'known' or 'estimated', got {self.equalizer!r}"
@@ -115,6 +112,12 @@ class ScenarioConfig:
             raise ConfigError(f"epsilon must be in [-0.5, 0.5], got {self.epsilon}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.mc.equalizer == "estimated" or self.criterion.estimator == "pn":
+            try:
+                pn_spectrum(self.frame.pn)
+            except ValueError as exc:
+                raise ConfigError(f"the PN channel estimator divides by the guard "
+                                  f"spectrum: {exc}") from exc
         srrc = SrrcSpec(self.frame.alpha, self.srrc_span, self.frame.n_upsam)
         object.__setattr__(self, "srrc", srrc)
 
@@ -243,7 +246,6 @@ _SCHEMA = {
         "max_frames": ("max_frames", _to_int),
         "frames_per_burst": ("frames_per_burst", _to_int),
         "chunk_bursts": ("chunk_bursts", _to_int),
-        "workers": ("workers", _to_int),
         "equalizer": ("equalizer", str.lower),
     },
     "run": {"seed": ("seed", _to_int), "ber_mode": ("ber_mode", _to_ber_mode)},
@@ -276,6 +278,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
+            if (section, key) == ("mc", "workers"):  # removed; older files set 1
+                if raw.strip() not in ("", "1"):
+                    raise ConfigError(f"{path}: [mc] workers = {raw.strip()}: bursts "
+                                      "run one after another, only 1 is accepted")
+                continue
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             name, parse = _SCHEMA[section][key]

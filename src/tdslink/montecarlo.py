@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -337,36 +336,19 @@ def _run_point(
         h_eq = chain.images.response(epsilon).h
 
     bit_errors = bits = axis_errors = axes = 0
-    burst_idx = 0
-    exhausted = False
-    max_bursts = mc.max_frames // B
-
-    def job(idx: int):
-        return _simulate_burst(
-            chain,
-            [cfg.seed, ebn0_idx, phase_idx, idx],
-            ring_h,
-            ebn0_db,
-            h_eq,
-            pn_ref,
-            B,
+    for idx in range(mc.max_frames // B):
+        be, b, ae, a = _simulate_burst(
+            chain, [cfg.seed, ebn0_idx, phase_idx, idx], ring_h, ebn0_db, h_eq, pn_ref, B
         )
-
-    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        while True:
-            n = min(mc.chunk_bursts, max_bursts - burst_idx)
-            if n <= 0:
-                exhausted = not (bits >= mc.min_bits and bit_errors >= mc.min_errors)
-                break
-            results = list(pool.map(job, range(burst_idx, burst_idx + n)))
-            burst_idx += n
-            for be, b, ae, a in results:
-                bit_errors += be
-                bits += b
-                axis_errors += ae
-                axes += a
-            if bits >= mc.min_bits and bit_errors >= mc.min_errors:
-                break
+        bit_errors += be
+        bits += b
+        axis_errors += ae
+        axes += a
+        met = bits >= mc.min_bits and bit_errors >= mc.min_errors
+        # the budget stops a point only after a whole chunk of bursts
+        if met and (idx + 1) % mc.chunk_bursts == 0:
+            break
+    exhausted = not met
 
     return BerPoint(
         ebn0_db=ebn0_db,
@@ -390,9 +372,11 @@ def run_mc_ber(
 ) -> BerCurve:
     """Monte-Carlo BER sweep at one sampling phase.
 
-    Deterministic in the scenario seed regardless of worker count:
-    per-burst generators derive from (seed, ebn0 index, phase index,
-    burst index) and counts reduce by summation.
+    Each point runs its bursts one after another, each with a generator
+    derived from (seed, ebn0 index, phase index, burst index), and stops
+    at the first multiple of ``chunk_bursts`` bursts that meets the
+    budget (or at ``max_frames``), so the counts depend on the scenario
+    alone.
     """
     t0 = time.perf_counter()
     chain = _Chain(cfg)

@@ -370,14 +370,15 @@ def test_criterion_8_invariant_suite():
         conv.append(rep.converged)
     checks["loop_convergence"] = all(conv)
 
-    # Monte-Carlo determinism under varying worker counts
-    def run_with(workers):
+    # Monte-Carlo determinism under varying stop-check groupings, with a
+    # budget out of reach so every grouping runs the same bursts
+    def run_with(chunk_bursts):
         cfg = ScenarioConfig(
             frame=FrameConfig(n_fft=256, pn_len=64, modulation="qam16"),
             srrc_span=16,
             ebn0_sweep=(8.0,),
-            mc=McConfig(min_bits=40_000, min_errors=40, max_frames=600,
-                        workers=workers),
+            mc=McConfig(min_bits=10**9, min_errors=10**6, max_frames=40,
+                        chunk_bursts=chunk_bursts),
             seed=99,
         )
         pt = run_mc_ber(cfg).points[0]

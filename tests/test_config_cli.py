@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdslink.analysis import BerMode, default_phase_grid
-from tdslink.channel import AWGN_PROFILE, ChannelProfile, load_profile
+from tdslink.channel import AWGN_PROFILE, ChannelProfile, load_profile, pn_spectrum
 from tdslink.cli import main
 from tdslink.config import (
     _SCHEMA,
@@ -103,6 +103,13 @@ class TestConfigFiles:
             ("dual_pn = true", "dual_pn = true\npn_seed = 0", "nonzero 6-bit"),
             ("dual_pn = true", "dual_pn = true\npn_seed = 4096", "nonzero 6-bit"),
             ("seed = 5", "seed = 5\n[srrc]\nspan_symbols = 2", "span"),
+            # a PN with spectral nulls, read by either PN estimator
+            ("qam16\n\n[sweep]\nebn0_db = 6, 8\n\n[mc]\n",
+             "qam16\npn_poly = 0x5\n\n[sweep]\nebn0_db = 6, 8\n\n[mc]\n"
+             "equalizer = estimated\n", "spectrum bins below threshold"),
+            ("modulation = qam16", "modulation = qam16\npn_poly = 0x5\n"
+             "[criterion]\nestimator = pn", "spectrum bins below threshold"),
+            ("max_frames = 400", "max_frames = 400\nworkers = 2", "one after another"),
         ]:
             path = tmp_path / "bad.cfg"
             path.write_text(MINIMAL.replace(old, new))
@@ -122,6 +129,14 @@ class TestConfigFiles:
     def test_bad_values_rejected_in_python(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig(**kwargs)
+
+    def test_workers_one_is_accepted(self, tmp_path, cfg_file):
+        # older files set workers = 1; bursts now run one after another
+        path = tmp_path / "workers.cfg"
+        path.write_text(MINIMAL.replace("max_frames = 400", "max_frames = 400\nworkers = 1"))
+        described = load_scenario(path).describe()
+        assert described == load_scenario(cfg_file).describe()
+        assert "workers" not in described["mc"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -217,6 +232,12 @@ def scenarios(draw) -> ScenarioConfig:
         pn_seed=draw(st.integers(1, 2**degree - 1)),
         pn_amplitude=draw(st.none() | st.floats(1e-3, 10.0)),
     )
+    # the PN estimators are rejected on a guard with spectral nulls
+    try:
+        pn_spectrum(frame.pn)
+        equalizers, estimators = ["known", "estimated"], ["analytic", "pn"]
+    except ValueError:
+        equalizers, estimators = ["known"], ["analytic"]
     delays = draw(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4, unique=True))
     gains = draw(st.lists(
         st.complex_numbers(min_magnitude=0.05, max_magnitude=3.0),
@@ -243,14 +264,13 @@ def scenarios(draw) -> ScenarioConfig:
             max_frames=frames_per_burst + draw(st.integers(0, 10**4)),
             frames_per_burst=frames_per_burst,
             chunk_bursts=draw(st.integers(1, 64)),
-            workers=draw(st.integers(1, 8)),
-            equalizer=draw(st.sampled_from(["known", "estimated"])),
+            equalizer=draw(st.sampled_from(equalizers)),
         ),
         seed=draw(st.integers(0, 2**64)),
         ber_mode=draw(st.sampled_from(list(BerMode))),
         criterion=CriterionOptions(
             grid_size=draw(st.integers(1, 512)),
-            estimator=draw(st.sampled_from(["analytic", "pn"])),
+            estimator=draw(st.sampled_from(estimators)),
             with_str=draw(st.booleans()),
             with_oracle=draw(st.booleans()),
         ),
@@ -267,7 +287,7 @@ NON_DEFAULT = {
     "phase": {"epsilon": "0.25", "grid": "8"},
     "sweep": {"ebn0_db": "1, 2", "reference_ebn0": "7"},
     "mc": {"min_bits": "1000", "min_errors": "10", "max_frames": "40",
-           "frames_per_burst": "2", "chunk_bursts": "3", "workers": "2",
+           "frames_per_burst": "2", "chunk_bursts": "3",
            "equalizer": "estimated"},
     "run": {"seed": "9", "ber_mode": "bits-per-symbol"},
     "criterion": {"grid": "16", "estimator": "pn", "with_str": "false",
@@ -394,11 +414,18 @@ class TestCli:
         assert sidecar["config"]["phase_grid"] is None
 
     def test_value_only_the_chain_would_reject_exits_2(self, tmp_path, capsys):
-        # a PN seed or SRRC span that loaded once failed only inside the
-        # run (a traceback), or not at all for the theory runner
+        # a PN seed, SRRC span or PN with spectral nulls that loaded once
+        # failed only inside the run (a traceback), or not at all for the
+        # theory runner; or a worker count other than one
         for command, old, new in [
             ("simulate", "dual_pn = true", "dual_pn = true\npn_seed = 0"),
             ("theory", "seed = 5", "seed = 5\n[srrc]\nspan_symbols = 2"),
+            ("simulate", "min_bits = 20000", "min_bits = 20000\nworkers = 2"),
+            ("simulate", "qam16\n\n[sweep]\nebn0_db = 6, 8\n\n[mc]\n",
+             "qam16\npn_poly = 0x5\n\n[sweep]\nebn0_db = 6, 8\n\n[mc]\n"
+             "equalizer = estimated\n"),
+            ("criterion", "modulation = qam16", "modulation = qam16\npn_poly = 0x5\n"
+             "[criterion]\nestimator = pn\ngrid = 8"),
         ]:
             path = tmp_path / "bad.cfg"
             path.write_text(MINIMAL.replace(old, new))

@@ -1,11 +1,13 @@
 """Tests for the Monte-Carlo engine and analytic curve runners."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdslink import montecarlo
 from tdslink.analysis import default_phase_grid
 from tdslink.channel import (
     AWGN_PROFILE,
@@ -48,14 +50,37 @@ class TestDeterminism:
         assert a.points[0].bits == b.points[0].bits
         assert a.points[0].ser == b.points[0].ser
 
-    def test_worker_count_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        # a budget only max_frames can stop: 7 bursts whatever the grouping
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return simulate_burst(*args)
+
+        simulate_burst = montecarlo._simulate_burst
+        monkeypatch.setattr(montecarlo, "_simulate_burst", recording)
         counts = []
-        for workers in (1, 2, 3):
-            cfg = _cfg(mc=McConfig(min_bits=60_000, min_errors=60,
-                                   max_frames=1500, workers=workers))
+        for chunk_bursts in (1, 3, 8):
+            cfg = _cfg(mc=McConfig(min_bits=10**9, min_errors=10**6, max_frames=28,
+                                   chunk_bursts=chunk_bursts))
             p = run_mc_ber(cfg).points[0]
-            counts.append((p.bits, p.errors, p.axis_errors))
+            counts.append((p.bits, p.errors, p.axis_errors, p.axes))
         assert counts[0] == counts[1] == counts[2]
+        assert len(calls) == 3 * 7
+        # every burst draws from its own generator: run one by one,
+        # last burst first, they sum to the same counts
+        bursts = [simulate_burst(*args) for args in reversed(calls[:7])]
+        be, b, ae, a = map(sum, zip(*bursts))
+        assert counts[0] == (b, be, ae, a)
+
+    def test_no_thread_is_started(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a Monte-Carlo point started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = _cfg(mc=McConfig(min_bits=1, min_errors=1, max_frames=8))
+        assert run_mc_ber(cfg).points[0].bits > 0
 
     def test_seed_changes_results(self):
         a = run_mc_ber(_cfg(seed=7)).points[0]
