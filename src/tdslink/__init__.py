@@ -19,7 +19,6 @@ from .channel import (
     AWGN_PROFILE,
     ChannelProfile,
     EquivResponse,
-    add_awgn,
     apply_channel,
     awgn_response,
     equivalent_response,
@@ -36,13 +35,10 @@ from .config import (
     scenario_fingerprint,
 )
 from .dsp import (
-    SignalBuffer,
     SrrcSpec,
-    fractional_delay,
     qfunc,
     raised_cosine_response,
     srrc_taps,
-    upsample,
 )
 from .frame import (
     Constellation,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import SignalBuffer, delay, raised_cosine_response
+from .dsp import delay, raised_cosine_response
 from .frame import PnSequence
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "ChannelProfile",
     "EquivResponse",
     "ImageSum",
-    "add_awgn",
     "apply_channel",
     "awgn_response",
     "equivalent_response",
@@ -54,6 +53,8 @@ class ChannelProfile:
         gains = np.asarray(self.gains, dtype=np.complex128)
         if delays.size == 0 or delays.size != gains.size:
             raise ValueError("profile needs matching, non-empty delay/gain lists")
+        if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(gains))):
+            raise ValueError("tap delays and gains must be finite")
         if delays[0] < 0 or np.any(np.diff(delays) <= 0):
             raise ValueError("tap delays must be >= 0 and strictly increasing")
         power = float(np.sum(np.abs(gains) ** 2))
@@ -102,53 +103,23 @@ def load_profile(path: str | Path) -> ChannelProfile:
     return ChannelProfile(delays=delays, gains=gains, name=path.stem)
 
 
-def apply_channel(buf: SignalBuffer, profile: ChannelProfile) -> SignalBuffer:
-    """Tapped-delay-line channel at the oversampled rate.
+def apply_channel(x: np.ndarray, profile: ChannelProfile, sps: int) -> np.ndarray:
+    """Tapped-delay-line channel on samples at ``sps`` per symbol.
 
     Integer-sample delays are index shifts; fractional residues go
     through the windowed-sinc interpolator.  The output is extended so
-    no tail is truncated, and the time origin is unchanged (tap delays
-    are part of the channel response, not group delay to compensate).
+    no tail is truncated and starts at the input's first sample (tap
+    delays are part of the channel response, not group delay to
+    compensate).
     """
-    if buf.sps < 2:
-        raise ValueError("channel applies at the oversampled rate")
-    x = buf.samples
-    shifts = profile.delays * buf.sps
+    shifts = profile.delays * sps
     n_out = len(x) + int(math.ceil(shifts.max())) + 1
     out = np.zeros(n_out, dtype=np.complex128)
     for gain, shift in zip(profile.gains, shifts):
         y, base = delay(x, float(shift))
         out[base : base + len(x)] += gain * y
         del y  # free it before the next tap's interpolation: peak memory
-    return SignalBuffer(out, sps=buf.sps, origin=buf.origin)
-
-
-def add_awgn(
-    x: np.ndarray,
-    ebn0_db: float,
-    bits_per_symbol: int,
-    oversampling: int,
-    rng: np.random.Generator,
-    signal_power: float | None = None,
-) -> np.ndarray:
-    """Add circular complex Gaussian noise calibrated to Eb/N0.
-
-    ``signal_power`` is the mean |x|^2 of the payload at the buffer's own
-    rate (measured from ``x`` when omitted); ``oversampling`` refers it
-    back to the symbol rate, where one symbol carries
-    ``bits_per_symbol`` information bits.  The per-real-dimension
-    variance is P * oversampling / (2 * bits_per_symbol * 10^(Eb/N0/10)).
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if signal_power is None:
-        signal_power = float(np.mean(np.abs(x) ** 2))
-    gamma = 10.0 ** (ebn0_db / 10.0)
-    var_per_dim = signal_power * oversampling / (2.0 * bits_per_symbol * gamma)
-    sigma = math.sqrt(var_per_dim)
-    noise = sigma * (
-        rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-    )
-    return x + noise
+    return out
 
 
 @dataclass(frozen=True)

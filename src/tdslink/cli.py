@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import BerMode, default_phase_grid
 from .config import (
     ConfigError,
     ScenarioConfig,

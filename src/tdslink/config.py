@@ -103,22 +103,29 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if not self.ebn0_sweep:
-            raise ConfigError("ebn0 sweep is empty")
-        if not all(map(math.isfinite, (*self.ebn0_sweep, self.reference_ebn0 or 0))):
-            raise ConfigError("ebn0 sweep and reference_ebn0 must be finite")
+            raise ConfigError("[sweep] ebn0_db is empty")
+        if not all(map(math.isfinite, self.ebn0_sweep)):
+            raise ConfigError("[sweep] ebn0_db must be finite")
+        if not math.isfinite(self.reference_ebn0 or 0):
+            raise ConfigError("[sweep] reference_ebn0 must be finite")
         if list(self.ebn0_sweep) != sorted(self.ebn0_sweep):
-            raise ConfigError("ebn0 sweep must be sorted ascending")
+            raise ConfigError("[sweep] ebn0_db must be sorted ascending")
         if not -0.5 <= self.epsilon <= 0.5:
-            raise ConfigError(f"epsilon must be in [-0.5, 0.5], got {self.epsilon}")
+            raise ConfigError(
+                f"[phase] epsilon must be in [-0.5, 0.5], got {self.epsilon}"
+            )
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"[run] seed must be non-negative, got {self.seed}")
         if self.mc.equalizer == "estimated" or self.criterion.estimator == "pn":
             try:
                 pn_spectrum(self.frame.pn)
             except ValueError as exc:
-                raise ConfigError(f"the PN channel estimator divides by the guard "
-                                  f"spectrum: {exc}") from exc
-        srrc = SrrcSpec(self.frame.alpha, self.srrc_span, self.frame.n_upsam)
+                raise ConfigError(f"[frame] pn_poly: the PN channel estimator divides "
+                                  f"by the guard spectrum: {exc}") from exc
+        try:
+            srrc = SrrcSpec(self.frame.alpha, self.srrc_span, self.frame.n_upsam)
+        except ValueError as exc:
+            raise ConfigError(f"[srrc] span_symbols: {exc}") from exc
         object.__setattr__(self, "srrc", srrc)
 
     @property

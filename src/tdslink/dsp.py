@@ -16,15 +16,11 @@ from scipy.signal import fftconvolve
 
 __all__ = [
     "INTERP_TAPS",
-    "SignalBuffer",
     "SrrcSpec",
-    "apply_fir",
     "delay",
-    "fractional_delay",
     "qfunc",
     "raised_cosine_response",
     "srrc_taps",
-    "upsample",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -32,34 +28,6 @@ _SQRT2 = math.sqrt(2.0)
 # Length of the fractional-delay interpolator; it reaches INTERP_TAPS // 2
 # samples to either side.
 INTERP_TAPS = 63
-
-
-@dataclass(frozen=True)
-class SignalBuffer:
-    """Complex baseband samples with a samples-per-symbol rate tag.
-
-    ``origin`` is the index of the sample aligned with symbol 0; filters
-    that delay the signal advance it, so downstream stages can slice the
-    stream without re-deriving group delays.  Buffers are treated as
-    immutable once built.
-    """
-
-    samples: np.ndarray
-    sps: int = 1
-    origin: int = 0
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("buffer must be a non-empty 1-D sample sequence")
-        if not np.all(np.isfinite(samples.view(np.float64))):
-            raise ValueError("buffer contains non-finite samples")
-        if self.sps < 1:
-            raise ValueError("samples-per-symbol tag must be >= 1")
-
-    def __len__(self) -> int:
-        return self.samples.size
 
 
 @dataclass(frozen=True)
@@ -136,54 +104,11 @@ def srrc_taps(spec: SrrcSpec) -> np.ndarray:
     return h / math.sqrt(np.sum(h * h))
 
 
-def upsample(buf: SignalBuffer, factor: int) -> SignalBuffer:
-    """Zero-stuff a symbol-rate buffer by an integer factor."""
-    if buf.sps != 1:
-        raise ValueError("upsample expects a symbol-rate buffer")
-    if factor < 2:
-        raise ValueError("upsampling factor must be >= 2")
-    out = np.zeros(len(buf) * factor, dtype=np.complex128)
-    out[::factor] = buf.samples
-    return SignalBuffer(out, sps=factor, origin=buf.origin * factor)
-
-
-def apply_fir(buf: SignalBuffer, taps: np.ndarray) -> SignalBuffer:
-    """Full linear convolution; origin advances by the filter group delay.
-
-    ``taps`` must be (close to) symmetric for the origin bookkeeping to
-    mean anything, which holds for every filter used here.
-    """
-    taps = np.asarray(taps)
-    y = fftconvolve(buf.samples, taps)
-    return SignalBuffer(y, sps=buf.sps, origin=buf.origin + (len(taps) - 1) // 2)
-
-
-def fractional_delay(
-    x: np.ndarray, mu: float, n_taps: int = INTERP_TAPS
-) -> np.ndarray:
-    """Delay a buffer by ``mu`` samples, |mu| <= 0.5, at its own rate.
-
-    Blackman-windowed sinc interpolator with compensated group delay:
-    the output has the same length and time alignment as the input apart
-    from the fractional shift; :func:`delay` handles larger delays.
-    Accurate for content below ~0.4 of the sample rate; mu = 0 is an
-    exact pass-through.
-    """
-    if not -0.5 <= mu <= 0.5:
-        raise ValueError(f"fractional delay must be in [-0.5, 0.5], got {mu}")
-    if n_taps % 2 == 0:
-        raise ValueError("interpolator length must be odd")
-    x = np.asarray(x)
-    if mu == 0.0:
-        return x.astype(np.complex128, copy=True)
-    half = n_taps // 2
-    y = fftconvolve(x, _interp_taps(mu, n_taps))
-    return y[half : half + len(x)]
-
-
-def _interp_taps(mu: float, n_taps: int = INTERP_TAPS) -> np.ndarray:
-    """Taps of :func:`fractional_delay`: y[n] = sum_k taps[k] x[n + half - k]."""
-    taps = np.sinc(np.arange(n_taps) - n_taps // 2 - mu) * np.blackman(n_taps)
+def _interp_taps(mu: float) -> np.ndarray:
+    """Taps of the interpolator that delays by ``mu`` samples:
+    y[n] = sum_k taps[k] x[n + half - k]."""
+    lags = np.arange(INTERP_TAPS) - INTERP_TAPS // 2
+    taps = np.sinc(lags - mu) * np.blackman(INTERP_TAPS)
     return taps / taps.sum()  # unit DC gain at every shift
 
 
@@ -195,7 +120,10 @@ def delay(x: np.ndarray, d: float, at=None) -> tuple[np.ndarray, int]:
     ``x``), and the full delay is the index shift ``z[n + base] = y[n]``.
     Positive ``d`` makes the signal arrive later; sampling a stream
     ``eps`` symbols late is therefore ``delay(x, -eps * sps)`` read from
-    index ``origin - base``.  A rest below 1e-12 is passed through.
+    index ``origin - base``.  A rest below 1e-12 is passed through.  The
+    rest goes through a Blackman-windowed sinc of ``INTERP_TAPS`` taps
+    with its group delay compensated, accurate for content below ~0.4 of
+    the sample rate.
 
     With integer indices ``at`` (any shape), ``y`` is only ``z[at]``: each
     sample one dot product with the interpolator taps, reading ``x`` as
@@ -213,7 +141,8 @@ def delay(x: np.ndarray, d: float, at=None) -> tuple[np.ndarray, int]:
         return (window * taps).sum(axis=-1), base
     if abs(mu) < 1e-12:
         return np.asarray(x, dtype=np.complex128), base
-    return fractional_delay(x, mu), base
+    half = INTERP_TAPS // 2
+    return fftconvolve(x, _interp_taps(mu))[half : half + len(x)], base
 
 
 def qfunc(x):

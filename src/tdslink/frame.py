@@ -1,10 +1,9 @@
-"""Frame construction: PN guards, Gray-mapped QAM, and transmit shaping.
+"""Frame construction: PN guards and Gray-mapped QAM.
 
 A frame is a PN guard interval (one or two copies of the same sequence)
 followed by a time-domain OFDM block, all at symbol rate.  Frames are
 built as one (rows, frame_len) block, one frame per row; the block read
-row after row is the symbol stream.  The shaped transmit stream is that
-stream zero-stuffed and SRRC-filtered.
+row after row is the symbol stream.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-
-from .dsp import SignalBuffer, apply_fir, upsample
 
 __all__ = [
     "Constellation",
@@ -267,10 +264,3 @@ def build_frames(data_rows: np.ndarray, pn: PnSequence, cfg: FrameConfig) -> np.
     frames[:, : cfg.guard_len] = np.tile(guard, 2) if cfg.dual_pn else guard
     frames[:, cfg.guard_len :] = np.fft.ifft(data_rows, axis=1)
     return frames
-
-
-def shape_symbols(symbols: np.ndarray, n_upsam: int, taps: np.ndarray) -> SignalBuffer:
-    """Zero-stuff a symbol sequence and shape it with the given FIR taps."""
-    buf = SignalBuffer(np.asarray(symbols, dtype=np.complex128))
-    return apply_fir(upsample(buf, n_upsam), taps)
-

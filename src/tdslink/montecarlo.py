@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -46,15 +46,14 @@ from .analysis import (
 from .channel import (
     EquivResponse,
     ImageSum,
-    add_awgn,
     apply_channel,
     awgn_response,
     estimate_complex_response_from_pn,
     estimate_response_from_pn,
 )
 from .config import ScenarioConfig
-from .dsp import INTERP_TAPS, SignalBuffer, apply_fir, delay, srrc_taps
-from .frame import build_frames, detect_labels, shape_symbols
+from .dsp import INTERP_TAPS, delay, srrc_taps
+from .frame import build_frames, detect_labels
 from .str_sync import StrLoopState, converged_sampling_phase, str_track
 
 __all__ = [
@@ -138,8 +137,9 @@ class _Chain:
         self.tail = 2 * cfg.srrc_span + max_delay + 10
         # zeros the oversampled path puts around its unit symbol
         self.pad = self.tail + 2
-        # per-sample power of the shaped body at the oversampled rate
-        self.body_power_ovs = 1.0 / (self.N * self.L)
+        # index of the symbol in :attr:`response`: the padding plus the
+        # delays of the shaping and matched filters
+        self.origin = self.pad * self.L + self.taps.size - 1
         # one frame period of a guards-only ring
         self.guard_spectrum = np.fft.fft(
             build_frames(np.zeros((1, self.N)), self.pn, f)[0]
@@ -162,49 +162,47 @@ class _Chain:
         return ImageSum(self.cfg.channel, self.cfg.frame.alpha, self.N)
 
     @cached_property
-    def response(self) -> SignalBuffer:
+    def response(self) -> np.ndarray:
         """Noiseless oversampled response of the front end to one unit
-        symbol, ``origin`` at the symbol: the explicit shaping ->
-        channel -> matched filter path run on the symbol zero-padded by
-        ``pad`` on both sides."""
-        impulse = np.zeros(2 * self.pad + 1)
-        impulse[self.pad] = 1.0
-        tx = shape_symbols(impulse, self.L, self.taps)
+        symbol, at index :attr:`origin`: the explicit shaping -> channel
+        -> matched filter path run on the symbol zero-padded by ``pad``
+        on both sides."""
+        up = np.zeros((2 * self.pad + 1) * self.L, dtype=np.complex128)
+        up[self.pad * self.L] = 1.0
+        tx = fftconvolve(up, self.taps)
         if not self.cfg.channel.is_identity:
-            tx = apply_channel(tx, self.cfg.channel)
-        rx = apply_fir(tx, self.taps)
-        return SignalBuffer(rx.samples, rx.sps, rx.origin + self.pad * self.L)
+            tx = apply_channel(tx, self.cfg.channel, self.L)
+        return fftconvolve(tx, self.taps)
 
     def front_end(
         self,
         symbols: np.ndarray,
         ebn0_db: float | None = None,
         rng: np.random.Generator | None = None,
-    ) -> SignalBuffer:
-        """Shape, propagate and matched-filter a symbol stream, ``origin``
-        at its first symbol: the stream convolved with :attr:`response`,
-        the explicit path's output on the stream zero-padded like it.
+    ) -> np.ndarray:
+        """Shape, propagate and matched-filter a symbol stream, its first
+        symbol at index :attr:`origin`: the stream convolved with
+        :attr:`response`, the explicit path's output on the stream
+        zero-padded like it.
 
-        With ``ebn0_db`` set, white noise calibrated to the body power is
-        drawn from ``rng`` for every channel output sample of that path
-        and added through the matched filter.
+        With ``ebn0_db`` set, :meth:`noise` is drawn from ``rng`` for
+        every channel output sample of that path and added through the
+        matched filter.
         """
-        r = self.response
         up = np.zeros((symbols.size - 1) * self.L + 1, dtype=np.complex128)
         up[:: self.L] = symbols
-        y = fftconvolve(up, r.samples)
+        y = fftconvolve(up, self.response)
         if ebn0_db is not None:
-            noise = np.zeros(y.size - self.taps.size + 1)
-            noise = add_awgn(noise, ebn0_db, self.k, self.L, rng, self.body_power_ovs)
+            noise = self.noise(rng, y.size - self.taps.size + 1, ebn0_db)
             y += fftconvolve(noise, self.taps)
-        return SignalBuffer(y, self.L, r.origin)
+        return y
 
-    def sample(self, rx: SignalBuffer, epsilon: float, at: np.ndarray) -> np.ndarray:
+    def sample(self, rx: np.ndarray, epsilon: float, at: np.ndarray) -> np.ndarray:
         """Symbol-rate samples of a matched-filter output taken
         ``epsilon`` symbols late, at the symbol indices ``at`` (index 0 at
-        ``rx.origin``; any shape)."""
-        at = rx.origin + np.asarray(at) * self.L
-        return delay(rx.samples, -epsilon * self.L, at)[0]
+        :attr:`origin`; any shape)."""
+        at = self.origin + np.asarray(at) * self.L
+        return delay(rx, -epsilon * self.L, at)[0]
 
     def symbol_response(self, epsilon: float) -> np.ndarray:
         """Symbol-rate impulse response of the noiseless front end sampled
@@ -236,16 +234,26 @@ class _Chain:
         return np.fft.fft(wrapped)
 
     def noise_var(self, ebn0_db: float) -> float:
-        """Complex noise variance per symbol-rate sample.
+        """Complex noise variance per sample, at the symbol rate or the
+        oversampled rate alike.
 
         White noise at the receiver input keeps its variance through the
         unit-energy matched filter, and the filter pair's combined
         response has symbol-spaced correlation zeros, so the demodulator
         sees white per-subcarrier noise of this variance.  The body's
-        symbol-rate power is 1/n_fft, whence 1/(N k 10^(Eb/N0/10)).
+        symbol-rate power is 1/n_fft, whence 1/(N k 10^(Eb/N0/10)).  At
+        ``L`` samples per symbol the shaped body's power per sample is
+        1/(N L) and a symbol spans ``L`` samples, so the noise drawn per
+        oversampled sample before the matched filter has the same
+        variance.
         """
         gamma = 10.0 ** (ebn0_db / 10.0)
         return 1.0 / (self.N * self.k * gamma)
+
+    def noise(self, rng: np.random.Generator, shape, ebn0_db: float) -> np.ndarray:
+        """Circular complex Gaussian noise of variance :meth:`noise_var`."""
+        sigma = math.sqrt(self.noise_var(ebn0_db) / 2.0)
+        return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
     def estimation_windows(self, rows: np.ndarray) -> np.ndarray:
         """Guard window of each frame row used for PN channel estimation
@@ -285,15 +293,12 @@ def _simulate_burst(
 
     tx_labels, frames = chain.draw_frames(rng, n_frames)
     rows = np.fft.ifft(np.fft.fft(frames.ravel()) * ring_h).reshape(frames.shape)
-    sigma = math.sqrt(chain.noise_var(ebn0_db) / 2.0)
-
-    def noise(shape: tuple[int, int]) -> np.ndarray:
-        return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
     if h_eq is None:  # estimated-equalizer mode
         windows = chain.estimation_windows(rows)
+        windows = windows + chain.noise(rng, windows.shape, ebn0_db)
         h_eq = estimate_complex_response_from_pn(
-            windows + noise(windows.shape), chain.pn, N, chain.cfg.frame.guard_amplitude
+            windows, chain.pn, N, chain.cfg.frame.guard_amplitude
         )
 
     # fold into each body the `margin` symbols before it (the end of its
@@ -304,7 +309,7 @@ def _simulate_burst(
     body = data[:, G:].copy()
     body[:, N - margin :] += data[:, G - margin : G]
     body[:, :margin] += np.roll(data[:, :margin], -1, axis=0)
-    Y = np.fft.fft(body + noise((n_frames, N)), axis=1)
+    Y = np.fft.fft(body + chain.noise(rng, (n_frames, N), ebn0_db), axis=1)
     rx_labels = detect_labels(_zf_equalize(Y, h_eq), chain.const)
     diff = tx_labels ^ rx_labels
     # per-axis decisions: the in-phase half of the label, then the
@@ -525,7 +530,7 @@ def _str_baseline(chain, eps: float, n_frames: int, loop_gain: float) -> StrRepo
     rx = chain.front_end(frames.ravel(), cfg.ref_ebn0, rng)
     # the injected phase delays the waveform seen by the tracker; its
     # whole-sample part shifts where the tracker reads
-    arr, base = delay(rx.samples, eps * chain.L)
+    arr, base = delay(rx, eps * chain.L)
     state = StrLoopState(loop_gain=loop_gain)
     state = str_track(
         arr,
@@ -534,7 +539,7 @@ def _str_baseline(chain, eps: float, n_frames: int, loop_gain: float) -> StrRepo
         n_frames,
         chain.L,
         cfg.frame.frame_len,
-        guard_offset=rx.origin - base,
+        guard_offset=chain.origin - base,
     )
     return StrReport(state=state, epsilon_hat=converged_sampling_phase(state, chain.L))
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from tdslink.channel import (
     AWGN_PROFILE,
     ChannelProfile,
-    add_awgn,
     apply_channel,
     awgn_response,
     equivalent_response,
@@ -15,8 +14,9 @@ from tdslink.channel import (
     load_profile,
     wrap_phase,
 )
-from tdslink.dsp import SignalBuffer
-from tdslink.frame import generate_pn
+from tdslink.config import ScenarioConfig
+from tdslink.frame import FrameConfig, generate_pn
+from tdslink.montecarlo import _Chain
 
 ALPHA = 0.05
 
@@ -31,6 +31,14 @@ class TestProfile:
             ChannelProfile(delays=[0.5, 0.5], gains=[1.0, 1.0])
         with pytest.raises(ValueError):
             ChannelProfile(delays=[-0.1, 0.5], gains=[1.0, 1.0])
+
+    def test_rejects_non_finite_taps(self):
+        for delays, gains in [([0.0, 1.5], [1.0, np.nan]),
+                              ([0.0, np.inf], [1.0, 0.5]),
+                              ([np.nan], [1.0]),
+                              ([0.0], [complex(0.0, np.inf)])]:
+            with pytest.raises(ValueError, match="finite"):
+                ChannelProfile(delays=delays, gains=gains)
 
     def test_loader(self, tmp_path):
         f = tmp_path / "p.txt"
@@ -56,17 +64,17 @@ class TestProfile:
 class TestApplyChannel:
     def test_identity_tap(self):
         rng = np.random.default_rng(0)
-        x = SignalBuffer(rng.standard_normal(64) + 0j, sps=4)
-        y = apply_channel(x, AWGN_PROFILE)
-        assert np.allclose(y.samples[:64], x.samples, atol=1e-12)
+        x = rng.standard_normal(64) + 0j
+        y = apply_channel(x, AWGN_PROFILE, 4)
+        assert np.allclose(y[:64], x, atol=1e-12)
 
     def test_integer_delay_and_rotation(self):
         rng = np.random.default_rng(1)
-        x = SignalBuffer(rng.standard_normal(64) + 0j, sps=4)
+        x = rng.standard_normal(64) + 0j
         p = ChannelProfile(delays=[2.0], gains=[1j])
-        y = apply_channel(x, p)
-        assert np.allclose(y.samples[8 : 8 + 64], 1j * x.samples, atol=1e-12)
-        assert np.allclose(y.samples[:8], 0)
+        y = apply_channel(x, p, 4)
+        assert np.allclose(y[8 : 8 + 64], 1j * x, atol=1e-12)
+        assert np.allclose(y[:8], 0)
 
     def test_two_ray_comb_matches_analytic(self):
         # oracle: analytic two-ray frequency response on the oversampled
@@ -76,8 +84,8 @@ class TestApplyChannel:
         x = np.zeros(n, dtype=complex)
         x[: n - 8] = rng.standard_normal(n - 8) + 1j * rng.standard_normal(n - 8)
         p = ChannelProfile(delays=[0.0, 0.5], gains=[1.0, 1.0])
-        y = apply_channel(SignalBuffer(x, sps=sps), p)
-        Y = np.fft.fft(y.samples[:n])
+        y = apply_channel(x, p, sps)
+        Y = np.fft.fft(y[:n])
         X = np.fft.fft(x)
         nu = np.fft.fftfreq(n)  # cycles per oversampled sample
         expected = (p.gains[0] + p.gains[1] * np.exp(-2j * np.pi * nu * 2)) * X
@@ -86,27 +94,37 @@ class TestApplyChannel:
 
 
 class TestAddAwgn:
+    """Eb/N0-calibrated noise as the simulator draws it (`_Chain.noise`)."""
+
+    @staticmethod
+    def chain(modulation="bpsk", n_fft=64):
+        frame = FrameConfig(n_fft=n_fft, pn_len=16, modulation=modulation)
+        return _Chain(ScenarioConfig(frame=frame))
+
     def test_zero_noise_limit(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        y = add_awgn(x, 300.0, 1, 1, np.random.default_rng(0))
+        y = x + self.chain().noise(np.random.default_rng(0), x.shape, 300.0)
         assert np.max(np.abs(y - x)) < 1e-10
 
     def test_variance_calibration(self):
-        # unit-power symbol-rate BPSK at 0 dB: 0.5 noise variance per
-        # real dimension, 1.0 per complex sample
-        rng = np.random.default_rng(4)
-        x = np.ones(1_000_000, dtype=complex)
-        y = add_awgn(x, 0.0, 1, 1, rng)
-        noise = y - x
-        per_dim = np.var(noise.real)
-        assert per_dim == pytest.approx(0.5, rel=0.02)
-        assert np.var(noise.imag) == pytest.approx(0.5, rel=0.02)
+        # BPSK, N = 64, 0 dB: the body's symbol-rate power 1/N over one
+        # bit per symbol, 1/64 per complex sample, half of it per dimension
+        chain = self.chain()
+        noise = chain.noise(np.random.default_rng(4), 1_000_000, 0.0)
+        assert chain.noise_var(0.0) == pytest.approx(1 / 64, rel=1e-12)
+        assert np.var(noise.real) == pytest.approx(1 / 128, rel=0.02)
+        assert np.var(noise.imag) == pytest.approx(1 / 128, rel=0.02)
+        # qam16 at 10 dB: 1 / (N k 10)
+        chain = self.chain("qam16", 256)
+        noise = chain.noise(np.random.default_rng(5), (1000, 1000), 10.0)
+        assert np.var(noise) == pytest.approx(1 / (256 * 4 * 10), rel=0.02)
 
     def test_determinism(self):
-        x = np.zeros(256, dtype=complex)
-        a = add_awgn(x, 10.0, 2, 4, np.random.default_rng(7), signal_power=1.0)
-        b = add_awgn(x, 10.0, 2, 4, np.random.default_rng(7), signal_power=1.0)
+        chain = self.chain("qam16")
+        a = chain.noise(np.random.default_rng(7), (4, 64), 10.0)
+        b = chain.noise(np.random.default_rng(7), (4, 64), 10.0)
+        assert a.shape == (4, 64)
         assert np.array_equal(a, b)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -46,6 +47,11 @@ seed = 5
 """
 
 
+# tap files that parse but hold a non-finite gain or delay
+NAN_GAIN_TAPS = "0.0 1.0 0.0\n1.5 nan 0\n"
+INF_DELAY_TAPS = "0.0 1.0 0.0\ninf 0.5 0.0\n"
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     path = tmp_path / "scenario.cfg"
@@ -82,6 +88,8 @@ class TestConfigFiles:
             load_scenario(path)
 
     def test_bad_values_rejected(self, tmp_path):
+        (tmp_path / "nan_gain.txt").write_text(NAN_GAIN_TAPS)
+        (tmp_path / "inf_delay.txt").write_text(INF_DELAY_TAPS)
         for old, new, match in [
             ("n_fft = 256", "n_fft = twelve", "expected an integer"),
             ("ebn0_db = 6, 8", "ebn0_db = 6, nan", "finite"),
@@ -110,10 +118,22 @@ class TestConfigFiles:
             ("modulation = qam16", "modulation = qam16\npn_poly = 0x5\n"
              "[criterion]\nestimator = pn", "spectrum bins below threshold"),
             ("max_frames = 400", "max_frames = 400\nworkers = 2", "one after another"),
+            # a value the scenario as a whole rejects names its key
+            ("ebn0_db = 6, 8", "ebn0_db = 8, 6", "[sweep] ebn0_db"),
+            ("seed = 5", "seed = 5\n[phase]\nepsilon = 0.7", "[phase] epsilon"),
+            ("seed = 5", "seed = -3", "[run] seed"),
+            ("seed = 5", "seed = 5\n[srrc]\nspan_symbols = 2", "[srrc] span_symbols"),
+            ("modulation = qam16", "modulation = qam16\npn_poly = 0x5\n"
+             "[criterion]\nestimator = pn", "[frame] pn_poly"),
+            # a tap file with a non-finite gain or delay
+            ("seed = 5", "seed = 5\n[channel]\nprofile = nan_gain.txt",
+             "[channel] profile"),
+            ("seed = 5", "seed = 5\n[channel]\nprofile = inf_delay.txt",
+             "[channel] profile"),
         ]:
             path = tmp_path / "bad.cfg"
             path.write_text(MINIMAL.replace(old, new))
-            with pytest.raises(ConfigError, match=match) as exc:
+            with pytest.raises(ConfigError, match=re.escape(match)) as exc:
                 load_scenario(path)
             assert str(exc.value).startswith(f"{path}: ")
 
@@ -414,9 +434,13 @@ class TestCli:
         assert sidecar["config"]["phase_grid"] is None
 
     def test_value_only_the_chain_would_reject_exits_2(self, tmp_path, capsys):
-        # a PN seed, SRRC span or PN with spectral nulls that loaded once
-        # failed only inside the run (a traceback), or not at all for the
-        # theory runner; or a worker count other than one
+        # a PN seed, SRRC span, PN with spectral nulls or non-finite tap
+        # that loaded once failed only inside the run (a traceback), or not
+        # at all for the theory runner; or a worker count other than one
+        (tmp_path / "nan_gain.txt").write_text(NAN_GAIN_TAPS)
+        (tmp_path / "inf_delay.txt").write_text(INF_DELAY_TAPS)
+        nan_gain = "seed = 5\n[channel]\nprofile = nan_gain.txt"
+        inf_delay = "seed = 5\n[channel]\nprofile = inf_delay.txt"
         for command, old, new in [
             ("simulate", "dual_pn = true", "dual_pn = true\npn_seed = 0"),
             ("theory", "seed = 5", "seed = 5\n[srrc]\nspan_symbols = 2"),
@@ -426,6 +450,8 @@ class TestCli:
              "equalizer = estimated\n"),
             ("criterion", "modulation = qam16", "modulation = qam16\npn_poly = 0x5\n"
              "[criterion]\nestimator = pn\ngrid = 8"),
+            *[(command, "seed = 5", taps) for taps in (nan_gain, inf_delay)
+              for command in ("theory", "simulate", "criterion")],
         ]:
             path = tmp_path / "bad.cfg"
             path.write_text(MINIMAL.replace(old, new))

@@ -6,14 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from tdslink.dsp import (
-    SignalBuffer,
     SrrcSpec,
     delay,
-    fractional_delay,
     qfunc,
     raised_cosine_response,
     srrc_taps,
-    upsample,
 )
 
 ALPHA = 0.05
@@ -147,49 +144,6 @@ class TestSrrcTaps:
 
 
 # ---------------------------------------------------------------------------
-# rate changes
-# ---------------------------------------------------------------------------
-
-
-class TestResampling:
-    def test_upsample_definition(self):
-        out = upsample(SignalBuffer(np.array([1.0, 2.0])), 2)
-        assert np.array_equal(out.samples, [1, 0, 2, 0])
-        assert out.sps == 2
-
-    def test_upsample_single(self):
-        out = upsample(SignalBuffer(np.array([3.0 + 1j])), 4)
-        assert np.array_equal(out.samples, [3 + 1j, 0, 0, 0])
-
-    def test_upsample_spectrum_is_periodic_repetition(self):
-        # oracle: direct DFT comparison on a random buffer
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        L = 2
-        X = np.fft.fft(x)
-        Xup = np.fft.fft(upsample(SignalBuffer(x), L).samples)
-        assert np.allclose(Xup, np.tile(X, L), atol=1e-10)
-
-    def test_round_trip(self):
-        # decimating by slicing at symbol spacing undoes the zero-stuffing
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        assert np.array_equal(upsample(SignalBuffer(x), 4).samples[::4], x)
-
-    def test_rate_tag_enforcement(self):
-        with pytest.raises(ValueError):
-            upsample(SignalBuffer(np.ones(4), sps=2), 2)
-
-    def test_buffer_rejects_nan(self):
-        with pytest.raises(ValueError):
-            SignalBuffer(np.array([1.0, np.nan]))
-
-    def test_buffer_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SignalBuffer(np.array([]))
-
-
-# ---------------------------------------------------------------------------
 # fractional delay
 # ---------------------------------------------------------------------------
 
@@ -198,14 +152,14 @@ class TestFractionalDelay:
     def test_zero_delay_is_exact(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        assert np.max(np.abs(fractional_delay(x, 0.0) - x)) < 1e-9
+        assert np.max(np.abs(delay(x, 0.0)[0] - x)) < 1e-9
 
     def test_tone_phase_shift(self):
         # oracle: a delayed complex exponential picks up -2 pi f mu phase
         f0, mu = 0.1, 0.25
         n = np.arange(512)
         x = np.exp(2j * np.pi * f0 * n)
-        y = fractional_delay(x, mu)
+        y = delay(x, mu)[0]
         expected = x * np.exp(-2j * np.pi * f0 * mu)
         interior = slice(40, 472)
         assert np.max(np.abs(y[interior] - expected[interior])) < 1e-3
@@ -218,7 +172,7 @@ class TestFractionalDelay:
         X[:keep] = rng.standard_normal(keep) + 1j * rng.standard_normal(keep)
         X[-keep:] = rng.standard_normal(keep) + 1j * rng.standard_normal(keep)
         x = np.fft.ifft(X)
-        y = fractional_delay(fractional_delay(x, 0.25), -0.25)
+        y = delay(delay(x, 0.25)[0], -0.25)[0]
         interior = slice(40, 472)
         assert np.max(np.abs(y[interior] - x[interior])) < 1e-3
 
@@ -234,15 +188,11 @@ class TestFractionalDelay:
         x = np.fft.ifft(X)
         interior = slice(100, n - 100)
         for mu in (-0.5, -0.25, 0.1, 0.5):
-            y = fractional_delay(x, mu)
+            y = delay(x, mu)[0]
             ratio = np.sum(np.abs(y[interior]) ** 2) / np.sum(
                 np.abs(x[interior]) ** 2
             )
             assert abs(ratio - 1.0) < 1e-3
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            fractional_delay(np.ones(8), 0.75)
 
 
 class TestDelay:

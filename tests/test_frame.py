@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdslink.dsp import SrrcSpec, srrc_taps
+from tdslink.config import ScenarioConfig
 from tdslink.frame import (
     FrameConfig,
     build_frames,
     detect_labels,
     generate_pn,
     make_constellation,
-    shape_symbols,
 )
+from tdslink.montecarlo import _Chain
 
 
 def _reference_lfsr_bits(poly: int, seed: int, length: int) -> list[int]:
@@ -258,34 +258,17 @@ class TestFrameAssembly:
 
 
 class TestTransmitChain:
-    def test_impulse_response_is_tap_vector(self):
-        spec = SrrcSpec(0.05, 8, 4)
-        taps = srrc_taps(spec)
-        impulse = np.zeros(16, dtype=complex)
-        impulse[0] = 2.0
-        out = shape_symbols(impulse, 4, taps)
-        assert np.allclose(out.samples[: taps.size], 2.0 * taps, atol=1e-12)
-        assert out.origin == (taps.size - 1) // 2
-
-    def test_output_length(self):
-        cfg = FrameConfig(n_fft=64, pn_len=16, dual_pn=False, modulation="bpsk")
-        spec = SrrcSpec(0.05, 8, 4)
-        frames = build_frames(np.ones((2, 64), dtype=complex), cfg.pn, cfg)
-        out = shape_symbols(frames.ravel(), cfg.n_upsam, srrc_taps(spec))
-        n_syms = frames.size
-        assert len(out) == 4 * n_syms + spec.n_taps - 1
-
     def test_out_of_band_power_suppressed(self):
         cfg = FrameConfig(n_fft=4096, pn_len=512, dual_pn=False, modulation="qam16")
-        spec = SrrcSpec(0.05, 16, 4)
+        chain = _Chain(ScenarioConfig(frame=cfg, srrc_span=16))
         rng = np.random.default_rng(2)
         const = cfg.constellation()
         data = const.points[rng.integers(0, 16, (1, 4096))]
         frame = build_frames(data, cfg.pn, cfg)[0]
-        out = shape_symbols(frame, cfg.n_upsam, srrc_taps(spec))
+        out = chain.front_end(frame)  # shaped, ideal channel, matched filter
         # oracle: periodogram split at the roll-off edge
-        spectrum = np.abs(np.fft.fft(out.samples)) ** 2
-        f = np.fft.fftfreq(out.samples.size) * 4  # cycles per symbol
+        spectrum = np.abs(np.fft.fft(out)) ** 2
+        f = np.fft.fftfreq(out.size) * cfg.n_upsam  # cycles per symbol
         edge = 0.5 * (1 + cfg.alpha)
         oob = np.sum(spectrum[np.abs(f) > edge])
         total = np.sum(spectrum)

@@ -6,7 +6,7 @@ import pytest
 from tdslink.analysis import band_power_criterion, default_phase_grid
 from tdslink.channel import ChannelProfile, equivalent_response
 from tdslink.config import McConfig, ScenarioConfig
-from tdslink.dsp import SrrcSpec, fractional_delay, srrc_taps
+from tdslink.dsp import SrrcSpec, delay, srrc_taps
 from tdslink.frame import FrameConfig, generate_pn
 from tdslink.montecarlo import run_str_baseline
 from tdslink.str_sync import (
@@ -75,8 +75,8 @@ class TestTimingError:
         # oracle: correlation of analytically delayed shaped PN
         pn = generate_pn(128)
         rx, _ = _shaped_pn(pn)
-        late = fractional_delay(rx, 0.25)   # waveform arrives later
-        early = fractional_delay(rx, -0.25)
+        late = delay(rx, 0.25)[0]   # waveform arrives later
+        early = delay(rx, -0.25)[0]
         assert timing_error(correlate_pn(late, pn, SPS)) > 0
         assert timing_error(correlate_pn(early, pn, SPS)) < 0
 
@@ -84,8 +84,8 @@ class TestTimingError:
         pn = generate_pn(128)
         rx, _ = _shaped_pn(pn)
         for mu in (0.1, 0.2, 0.3):
-            e_pos = timing_error(correlate_pn(fractional_delay(rx, mu), pn, SPS))
-            e_neg = timing_error(correlate_pn(fractional_delay(rx, -mu), pn, SPS))
+            e_pos = timing_error(correlate_pn(delay(rx, mu)[0], pn, SPS))
+            e_neg = timing_error(correlate_pn(delay(rx, -mu)[0], pn, SPS))
             assert e_pos == pytest.approx(-e_neg, rel=0.05)
 
     def test_boundary_peak_rejected(self):
