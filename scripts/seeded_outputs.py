@@ -17,7 +17,11 @@ points stopped by ``min_errors`` with two stop-check groupings),
 responses, ``run_criterion`` with both estimators, and ``detect_labels``
 on fixed random symbols and on a grid of levels, midpoints between
 adjacent levels and values beyond the outermost level, for every
-constellation.  ``config/*`` entries hold the fingerprint and the
+constellation.  The ``str/*`` and ``criterion/*`` entries read the
+timing loop's ``epsilon_hat``, ``error_history``, ``peak_offset`` and
+``converged`` from the loop state ``run_str_baseline`` returns, or from
+the report that wrapped that state in older trees, so one script dumps
+both sides of that change.  ``config/*`` entries hold the fingerprint and the
 sidecar ``config`` JSON of the shipped recipes, of the scenario files the
 benchmark generates and of inline files that together set every key.
 A dump takes a few seconds.  Only load dumps this script wrote: they are
@@ -178,8 +182,9 @@ def dump(src: str, out: str) -> None:
         for eps in (0.0, 0.2, -0.4, 0.5, 0.3, -0.13):
             r = run_str_baseline(cfg(channel=p, ebn0_sweep=(12.0,)), n_frames=12,
                                  injected_epsilon=eps)
-            res[f"str/{name}/{eps}"] = (r.epsilon_hat, list(r.state.error_history),
-                                        r.state.peak_offset, r.converged)
+            state = getattr(r, "state", r)
+            res[f"str/{name}/{eps}"] = (r.epsilon_hat, list(state.error_history),
+                                        state.peak_offset, r.converged)
     for name, p, frame in (("threeray", threeray, FrameConfig(n_fft=256, pn_len=64)),
                            ("longecho_single_pn", longecho, single_pn)):
         est = _pn_estimated_responses(_Chain(cfg(channel=p, frame=frame)), default_phase_grid(16))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import delay, raised_cosine_response
+from .dsp import INTERP_TAPS, delay, raised_cosine_response
 from .frame import PnSequence
 
 __all__ = [
@@ -106,20 +106,18 @@ def load_profile(path: str | Path) -> ChannelProfile:
 def apply_channel(x: np.ndarray, profile: ChannelProfile, sps: int) -> np.ndarray:
     """Tapped-delay-line channel on samples at ``sps`` per symbol.
 
-    Integer-sample delays are index shifts; fractional residues go
-    through the windowed-sinc interpolator.  The output is extended so
-    no tail is truncated and starts at the input's first sample (tap
-    delays are part of the channel response, not group delay to
-    compensate).
+    ``x`` is convolved with the channel's impulse response at that rate:
+    the sum of each tap's gain times a unit sample delayed by the tap's
+    delay (:func:`~tdslink.dsp.delay`).  The output is extended so no
+    tail is truncated and starts at the input's first sample (tap delays
+    are part of the channel response, not group delay to compensate).
     """
     shifts = profile.delays * sps
-    n_out = len(x) + int(math.ceil(shifts.max())) + 1
-    out = np.zeros(n_out, dtype=np.complex128)
-    for gain, shift in zip(profile.gains, shifts):
-        y, base = delay(x, float(shift))
-        out[base : base + len(x)] += gain * y
-        del y  # free it before the next tap's interpolation: peak memory
-    return out
+    last = int(math.ceil(shifts.max()))
+    half = INTERP_TAPS // 2  # the interpolator's reach before a delayed sample
+    lags = np.arange(-half, last + half + 1)
+    h = sum(gain * delay(np.ones(1), shift, lags) for gain, shift in zip(profile.gains, shifts))
+    return np.convolve(x, h)[half : half + len(x) + last + 1]
 
 
 @dataclass(frozen=True)

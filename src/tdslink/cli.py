@@ -193,12 +193,12 @@ def _cmd_str_baseline(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]
     report = run_str_baseline(cfg, n_frames=args.frames)
     rows = [
         f"{i},{err:.10g},{report.epsilon_hat:.10g}"
-        for i, err in enumerate(report.state.error_history)
+        for i, err in enumerate(report.error_history)
     ]
     extra = {
         "epsilon_hat": report.epsilon_hat,
         "converged": report.converged,
-        "frames_tracked": len(report.state.error_history),
+        "frames_tracked": len(report.error_history),
     }
     print(
         f"converged phase: {report.epsilon_hat:+.6f} "

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.signal import fftconvolve
 
 __all__ = [
     "INTERP_TAPS",
@@ -112,37 +111,29 @@ def _interp_taps(mu: float) -> np.ndarray:
     return taps / taps.sum()  # unit DC gain at every shift
 
 
-def delay(x: np.ndarray, d: float, at=None) -> tuple[np.ndarray, int]:
-    """Delay a buffer by ``d`` samples (any real ``d``, at its own rate).
+def delay(x: np.ndarray, d: float, at) -> np.ndarray:
+    """``z[at]``, where ``z`` is the buffer ``x`` delayed by ``d`` samples
+    (any real ``d``, at its own rate) and ``at`` holds integer indices of
+    any shape.
 
-    Returns ``(y, base)`` with ``base = round(d)``: ``y`` is ``x`` delayed
-    by the fractional rest ``d - base`` (same length and alignment as
-    ``x``), and the full delay is the index shift ``z[n + base] = y[n]``.
-    Positive ``d`` makes the signal arrive later; sampling a stream
-    ``eps`` symbols late is therefore ``delay(x, -eps * sps)`` read from
-    index ``origin - base``.  A rest below 1e-12 is passed through.  The
-    rest goes through a Blackman-windowed sinc of ``INTERP_TAPS`` taps
-    with its group delay compensated, accurate for content below ~0.4 of
-    the sample rate.
-
-    With integer indices ``at`` (any shape), ``y`` is only ``z[at]``: each
-    sample one dot product with the interpolator taps, reading ``x`` as
-    zero beyond its ends, so a long stream costs only where it is read.
+    Positive ``d`` makes the signal arrive later: ``z[n] = x(n - d)``, so
+    sampling a stream ``eps`` symbols late reads ``delay(x, -eps * sps,
+    at)``.  The whole part ``round(d)`` is an index shift; a rest of
+    1e-12 or more goes through a Blackman-windowed sinc of
+    ``INTERP_TAPS`` taps, accurate for content below ~0.4 of the sample
+    rate.  Each output sample is one dot product with the taps, reading
+    ``x`` as zero beyond its ends, so a long stream costs only where it
+    is read.
     """
     base = int(round(d))
     mu = d - base
-    if at is not None:  # y[n] at n = at - base; one unit tap when passed through
-        taps = np.ones(1) if abs(mu) < 1e-12 else _interp_taps(mu)
-        idx = np.asarray(at)[..., None] - base + taps.size // 2 - np.arange(taps.size)
-        x = np.asarray(x, dtype=np.complex128)
-        inside = (idx >= 0) & (idx < x.size)
-        window = np.where(inside, x[np.clip(idx, 0, x.size - 1)], 0)
-        # a BLAS dot here would leave threads spinning beside the bursts
-        return (window * taps).sum(axis=-1), base
-    if abs(mu) < 1e-12:
-        return np.asarray(x, dtype=np.complex128), base
-    half = INTERP_TAPS // 2
-    return fftconvolve(x, _interp_taps(mu))[half : half + len(x)], base
+    taps = np.ones(1) if abs(mu) < 1e-12 else _interp_taps(mu)
+    idx = (np.asarray(at) - base + taps.size // 2)[..., None] - np.arange(taps.size)
+    x = np.asarray(x, dtype=np.complex128)
+    window = x.take(idx, mode="clip")
+    window[(idx < 0) | (idx >= x.size)] = 0
+    # a BLAS dot here would leave threads spinning beside the bursts
+    return (window * taps).sum(axis=-1)
 
 
 def qfunc(x):

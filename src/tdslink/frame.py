@@ -219,6 +219,8 @@ class FrameConfig:
             raise ValueError("upsampling factor must be >= 2")
         if self.modulation.lower() not in _MODULATION_ORDERS:
             raise ValueError(f"unknown modulation {self.modulation!r}")
+        if self.pn_amplitude is not None and not self.pn_amplitude > 0:
+            raise ValueError(f"pn_amplitude must be positive, got {self.pn_amplitude}")
         pn = generate_pn(self.pn_len, self.pn_poly, self.pn_seed)
         object.__setattr__(self, "pn", pn)
 

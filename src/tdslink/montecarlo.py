@@ -54,14 +54,13 @@ from .channel import (
 from .config import ScenarioConfig
 from .dsp import INTERP_TAPS, delay, srrc_taps
 from .frame import build_frames, detect_labels
-from .str_sync import StrLoopState, converged_sampling_phase, str_track
+from .str_sync import StrLoopState, str_track
 
 __all__ = [
     "BerCurve",
     "BerPoint",
     "CriterionReport",
     "Source",
-    "StrReport",
     "grid_search_ber_oracle",
     "measure_chain_response",
     "run_criterion",
@@ -202,7 +201,7 @@ class _Chain:
         ``epsilon`` symbols late, at the symbol indices ``at`` (index 0 at
         :attr:`origin`; any shape)."""
         at = self.origin + np.asarray(at) * self.L
-        return delay(rx, -epsilon * self.L, at)[0]
+        return delay(rx, -epsilon * self.L, at)
 
     def symbol_response(self, epsilon: float) -> np.ndarray:
         """Symbol-rate impulse response of the noiseless front end sampled
@@ -493,55 +492,33 @@ def _grid_search(chain: _Chain, grid: PhaseGrid) -> tuple[float, dict[float, Ber
     return float(cand[order[0]]), results
 
 
-@dataclass
-class StrReport:
-    state: StrLoopState
-    epsilon_hat: float
-
-    @property
-    def converged(self) -> bool:
-        return self.state.converged
-
-
 def run_str_baseline(
     cfg: ScenarioConfig,
     n_frames: int = _STR_FRAMES,
     loop_gain: float = _STR_LOOP_GAIN,
     injected_epsilon: float | None = None,
-) -> StrReport:
+) -> StrLoopState:
     """Track the PN correlation loop over a noisy realization.
 
     The stream carries random data frames over the scenario channel at
     the reference Eb/N0, with the waveform delayed by
     ``injected_epsilon`` symbol periods (defaults to the scenario
-    phase).  The report's ``epsilon_hat`` is the sampling phase the loop
-    settled on, i.e. the phase a receiver aligned with the loop would
-    hand to the demodulator; over an ideal channel it recovers the
+    phase).  The returned state's ``epsilon_hat`` is the sampling phase
+    the loop settled on, i.e. the phase a receiver aligned with the loop
+    would hand to the demodulator; over an ideal channel it recovers the
     injected delay.
     """
     eps = cfg.epsilon if injected_epsilon is None else injected_epsilon
     return _str_baseline(_Chain(cfg), eps, n_frames, loop_gain)
 
 
-def _str_baseline(chain, eps: float, n_frames: int, loop_gain: float) -> StrReport:
+def _str_baseline(chain, eps: float, n_frames: int, loop_gain: float) -> StrLoopState:
     cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57D]))
     _, frames = chain.draw_frames(rng, n_frames)
     rx = chain.front_end(frames.ravel(), cfg.ref_ebn0, rng)
-    # the injected phase delays the waveform seen by the tracker; its
-    # whole-sample part shifts where the tracker reads
-    arr, base = delay(rx, eps * chain.L)
-    state = StrLoopState(loop_gain=loop_gain)
-    state = str_track(
-        arr,
-        chain.pn,
-        state,
-        n_frames,
-        chain.L,
-        cfg.frame.frame_len,
-        guard_offset=chain.origin - base,
-    )
-    return StrReport(state=state, epsilon_hat=converged_sampling_phase(state, chain.L))
+    return str_track(rx, chain.pn, StrLoopState(loop_gain=loop_gain), n_frames, chain.L,
+                     cfg.frame.frame_len, guard_offset=chain.origin, injected=eps * chain.L)
 
 
 @dataclass
@@ -550,7 +527,7 @@ class CriterionReport:
 
     criterion: CriterionResult
     chosen_point: BerPoint | None = None
-    str_report: StrReport | None = None
+    str_report: StrLoopState | None = None
     str_point: BerPoint | None = None
     oracle_phase: float | None = None
     oracle_points: dict[float, BerPoint] | None = None

@@ -1,10 +1,11 @@
 """Conventional symbol timing recovery: PN correlation plus a sidelobe
 timing error detector driving a first-order tracking loop.
 
-The loop state's ``phase_estimate`` is the correction delay (in
-oversampled samples) applied to the incoming stream before correlating;
-at convergence it equals minus the stream's fractional delay, so
-``-phase_estimate`` recovers the injected offset.
+The loop reads each frame's correlation window from the whole stream
+delayed by the injected phase plus its correction ``phase_estimate``
+(both in oversampled samples).  At convergence the correction cancels
+the stream's fractional delay, so over an ideal channel the integer
+peak offset minus ``phase_estimate`` recovers the injected offset.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ __all__ = [
     "str_track",
     "timing_error",
 ]
+
+# convergence: this many frames in a row with |timing error| below this
+_SETTLED_FRAMES, _SETTLED_ERROR = 5, 0.02
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,16 @@ def timing_error(trace: CorrelationTrace) -> float:
 
 @dataclass
 class StrLoopState:
-    """First-order tracking loop state in oversampled samples."""
+    """First-order tracking loop state in oversampled samples, and its
+    outcome: the last frame's peak offset, whether the loop converged
+    and the sampling phase ``epsilon_hat`` it settled on."""
 
     phase_estimate: float = 0.0
     loop_gain: float = 0.5
     error_history: list[float] = field(default_factory=list)
     peak_offset: int = 0
     converged: bool = False
+    epsilon_hat: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.loop_gain <= 1.0:
@@ -94,49 +101,43 @@ def str_track(
     n_upsam: int,
     frame_len_symbols: int,
     guard_offset: int = 0,
-    threshold: float = 0.02,
-    required_consecutive: int = 5,
+    injected: float = 0.0,
 ) -> StrLoopState:
-    """Track the PN correlation peak over ``n_frames`` guard intervals.
+    """Track the PN correlation peak over ``n_frames`` guard intervals of
+    ``rx``, the first at index ``guard_offset``, with the stream arriving
+    ``injected`` samples late.
 
-    Per frame: interpolate the frame's correlation window at the current
-    phase, locate the peak, form the sidelobe timing error, and update
-    ``phase_estimate -= loop_gain * error``.  Convergence is declared
-    after ``required_consecutive`` frames with |error| < ``threshold``;
-    failing that the returned state is flagged, not fatal.
+    Per frame: read the frame's correlation window from ``rx`` delayed
+    by ``injected + phase_estimate``, locate the peak, form the sidelobe
+    timing error, and update ``phase_estimate -= loop_gain * error``.
+    Convergence is declared after ``_SETTLED_FRAMES`` frames in a row
+    with |error| < ``_SETTLED_ERROR``.  A peak on the window's edge
+    gives no error and ends tracking.  A loop that did not converge is
+    flagged in the returned state, not fatal.  The state's
+    ``epsilon_hat`` is the sampling phase the loop held: the integer
+    peak offset minus the correction ``phase_estimate``, in symbols,
+    wrapped.
     """
-    rx = np.asarray(rx, dtype=np.complex128)
     frame_len = frame_len_symbols * n_upsam
-    kernel_len = n_upsam * (pn.chips.size - 1) + 1
     pad = 4 * n_upsam
+    # a guard's correlation kernel span and ``pad`` lags on either side
+    window = np.arange(n_upsam * (pn.chips.size - 1) + 1 + 2 * pad) - pad
     ok_streak = 0
     state.converged = False
 
     for i in range(n_frames):
-        start = guard_offset + i * frame_len - pad
-        stop = start + kernel_len + 2 * pad
-        if start < 0 or stop > rx.size:
-            raise ValueError(f"frame {i} correlation window falls outside buffer")
-        segment, base = delay(rx[start:stop], state.phase_estimate)
-        trace = correlate_pn(segment, pn, n_upsam)
+        at = guard_offset + i * frame_len + window
+        trace = correlate_pn(delay(rx, injected + state.phase_estimate, at), pn, n_upsam)
+        if not 0 < trace.peak_index < trace.r.size - 1:
+            break
         err = timing_error(trace)
         state.error_history.append(err)
         # peak index relative to the nominal on-time position of this window
-        state.peak_offset = trace.peak_index - pad + base
+        state.peak_offset = trace.peak_index - pad
         state.phase_estimate -= state.loop_gain * err
-        ok_streak = ok_streak + 1 if abs(err) < threshold else 0
-        if ok_streak >= required_consecutive:
+        ok_streak = ok_streak + 1 if abs(err) < _SETTLED_ERROR else 0
+        if ok_streak >= _SETTLED_FRAMES:
             state.converged = True
             break
+    state.epsilon_hat = wrap_phase((state.peak_offset - state.phase_estimate) / n_upsam)
     return state
-
-
-def converged_sampling_phase(state: StrLoopState, n_upsam: int) -> float:
-    """Sampling phase (fraction of a symbol) implied by a tracked loop.
-
-    The total timing the loop settled on is the integer peak offset plus
-    the accumulated fractional correction; dividing by the upsampling
-    factor and wrapping gives the phase a receiver should sample at.
-    """
-    total_samples = state.peak_offset - state.phase_estimate
-    return wrap_phase(total_samples / n_upsam)

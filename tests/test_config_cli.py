@@ -96,6 +96,9 @@ class TestConfigFiles:
             ("ebn0_db = 6, 8", "ebn0_db = 6, 8\nreference_ebn0 = nan", "finite"),
             ("ebn0_db = 6, 8", "ebn0_db = 6, 1e400", "finite"),
             ("dual_pn = true", "dual_pn = true\npn_amplitude = nan", "finite"),
+            ("dual_pn = true", "dual_pn = true\npn_amplitude = 0", "[frame] pn_amplitude"),
+            ("dual_pn = true", "dual_pn = true\npn_amplitude = -0.5",
+             "[frame] pn_amplitude"),
             ("dual_pn = true", "dual_pn = true\nalpha = -inf", "finite"),
             ("seed = 5", "seed = 5\n[phase]\nepsilon = inf", "finite"),
             ("seed = 5", "seed = 5\n[phase]\ngrid = 0", "grid size"),
@@ -434,9 +437,10 @@ class TestCli:
         assert sidecar["config"]["phase_grid"] is None
 
     def test_value_only_the_chain_would_reject_exits_2(self, tmp_path, capsys):
-        # a PN seed, SRRC span, PN with spectral nulls or non-finite tap
-        # that loaded once failed only inside the run (a traceback), or not
-        # at all for the theory runner; or a worker count other than one
+        # a PN seed, SRRC span, PN with spectral nulls, non-finite tap or
+        # zero guard that loaded once failed only inside the run (a
+        # traceback), or not at all for the theory runner; or a worker
+        # count other than one
         (tmp_path / "nan_gain.txt").write_text(NAN_GAIN_TAPS)
         (tmp_path / "inf_delay.txt").write_text(INF_DELAY_TAPS)
         nan_gain = "seed = 5\n[channel]\nprofile = nan_gain.txt"
@@ -452,6 +456,16 @@ class TestCli:
              "[criterion]\nestimator = pn\ngrid = 8"),
             *[(command, "seed = 5", taps) for taps in (nan_gain, inf_delay)
               for command in ("theory", "simulate", "criterion")],
+            # a zero guard, which the PN estimator divides by and the
+            # timing loop cannot find
+            ("simulate", "qam16\n\n[sweep]\nebn0_db = 6, 8\n\n[mc]\n",
+             "qam16\npn_amplitude = 0\n\n[sweep]\nebn0_db = 6, 8\n\n[mc]\n"
+             "equalizer = estimated\n"),
+            *[(command, "modulation = qam16", "modulation = qam16\npn_amplitude = 0"
+               + extra) for command, extra in (
+                  ("criterion", "\n[criterion]\nestimator = pn\ngrid = 8"),
+                  ("criterion", "\n[criterion]\ngrid = 8\nwith_oracle = false"),
+                  ("str-baseline", ""))],
         ]:
             path = tmp_path / "bad.cfg"
             path.write_text(MINIMAL.replace(old, new))
@@ -503,6 +517,20 @@ class TestCli:
         sidecar = json.loads(Path(str(out) + ".json").read_text())
         assert sidecar["converged"] is True
         assert abs(sidecar["epsilon_hat"]) < 0.02
+
+    def test_weak_guard_str_baseline_is_flagged(self, tmp_path, capsys):
+        # the correlation peak of a guard buried in the data lands on the
+        # window's edge: the loop stops unconverged, the run is flagged
+        path = tmp_path / "weak.cfg"
+        path.write_text(MINIMAL.replace("dual_pn = true",
+                                        "dual_pn = true\npn_amplitude = 1e-8"))
+        out = tmp_path / "str.csv"
+        rc = main(["str-baseline", "--config", str(path), "--out", str(out)])
+        assert rc == 3
+        assert out.read_text().splitlines()[0] == "frame,timing_error,phase_estimate"
+        sidecar = json.loads(Path(str(out) + ".json").read_text())
+        assert sidecar["converged"] is False
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_criterion_subcommand(self, tmp_path):
         path = tmp_path / "crit.cfg"

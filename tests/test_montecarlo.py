@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdslink import montecarlo
+from tdslink import montecarlo, str_sync
 from tdslink.analysis import default_phase_grid
 from tdslink.channel import (
     AWGN_PROFILE,
@@ -18,7 +18,7 @@ from tdslink.channel import (
 from tdslink.config import McConfig, ScenarioConfig
 from scipy.signal import fftconvolve
 
-from tdslink.dsp import delay, qfunc
+from tdslink.dsp import _interp_taps, qfunc
 from tdslink.frame import FrameConfig
 from tdslink.montecarlo import (
     Source,
@@ -29,6 +29,7 @@ from tdslink.montecarlo import (
     run_mc_ber,
     run_theory,
 )
+from tdslink.str_sync import correlate_pn
 
 
 def _cfg(**kw):
@@ -228,6 +229,16 @@ def explicit_front_end(chain, symbols, ebn0_db=None, rng=None):
     return fftconvolve(tx, taps), chain.pad * L + taps.size - 1
 
 
+def explicit_delay(x, d):
+    """``x`` delayed by ``d`` samples, written out: the rest of ``d``
+    after rounding as a full convolution with the interpolator's taps,
+    the whole part as an index shift.  Returns the delayed buffer and
+    the offset ``off`` with ``z[n]`` at index ``n + off``."""
+    base = round(d)
+    taps = np.ones(1) if abs(d - base) < 1e-12 else _interp_taps(d - base)
+    return np.convolve(x, taps), taps.size // 2 - base
+
+
 class TestFrontEnd:
     @pytest.mark.parametrize("profile, n_upsam", [
         (ChannelProfile(delays=[0.0, 0.8, 3.25], gains=[1.0, 0.4j, -0.3]), 4),
@@ -255,11 +266,11 @@ def noisy_front_end():
     return chain, chain.front_end(frames.ravel(), 10.0, rng)
 
 
-def _readable(chain, rx, eps):
-    """First and last symbol index whose full-stream sample exists."""
-    base = round(-eps * chain.L)
-    lo = -((chain.origin - base) // chain.L)
-    return lo, lo + (rx.size - 1 - (chain.origin - base + lo * chain.L)) // chain.L
+def _readable(chain, z, off):
+    """First and last symbol index whose sample the delayed buffer ``z``
+    (``z[n]`` at index ``n + off``) holds."""
+    lo = -((chain.origin + off) // chain.L)
+    return lo, lo + (z.size - 1 - (chain.origin + off + lo * chain.L)) // chain.L
 
 
 class TestPhaseSampling:
@@ -278,12 +289,12 @@ class TestPhaseSampling:
     @settings(max_examples=60, deadline=None)
     def test_equals_full_stream_delay(self, noisy_front_end, eps, ends, middle):
         chain, rx = noisy_front_end
-        lo, hi = _readable(chain, rx, eps)
+        z, off = explicit_delay(rx, -eps * chain.L)
+        lo, hi = _readable(chain, z, off)
         # indices near both ends of the buffer, and anywhere between
         at = np.array([lo + e for e in ends] + [hi - e for e in ends]
                       + [lo + m % (hi - lo + 1) for m in middle])
-        arr, base = delay(rx, -eps * chain.L)
-        full = arr[chain.origin - base + at * chain.L]
+        full = z[chain.origin + off + at * chain.L]
         got = chain.sample(rx, eps, at)
         if (eps * chain.L).is_integer():  # whole samples: read, not computed
             assert np.array_equal(got, full)
@@ -316,10 +327,37 @@ class TestSymbolResponse:
         # through the explicit oversampled path and sampled in full
         ext = g.size
         rx, origin = explicit_front_end(chain, np.pad(ring, ext, mode="wrap"))
-        arr, base = delay(rx, -eps * chain.L)
-        full = arr[origin - base + ext * chain.L :: chain.L][: ring.size]
+        z, off = explicit_delay(rx, -eps * chain.L)
+        full = z[origin + off + ext * chain.L :: chain.L][: ring.size]
         fast = np.fft.ifft(np.fft.fft(ring) * chain.ring_response(g, ring.size))
         assert np.max(np.abs(fast - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+class TestTimingLoopWindows:
+    @pytest.mark.parametrize("injected", [0.0, 0.3, -0.45])
+    def test_window_is_the_delayed_stream(self, monkeypatch, injected):
+        # every correlation the loop forms is correlate_pn of its frame's
+        # window, read from the whole stream delayed by the injected phase
+        # plus the loop's correction at that frame
+        streams, traces = [], []
+        front_end = _Chain.front_end
+        monkeypatch.setattr(_Chain, "front_end", lambda self, *a: streams.append(
+            front_end(self, *a)) or streams[-1])
+        monkeypatch.setattr(str_sync, "correlate_pn", lambda *a: traces.append(
+            correlate_pn(*a)) or traces[-1])
+        cfg = _cfg(channel=ChannelProfile(delays=[0.0, 0.8], gains=[1.0, 0.4j]),
+                   ebn0_sweep=(15.0,))
+        state = montecarlo.run_str_baseline(cfg, n_frames=8, injected_epsilon=injected)
+        chain, (rx,) = _Chain(cfg), streams
+        L, pad = chain.L, 4 * chain.L
+        window = np.arange(L * (chain.pn.chips.size - 1) + 1 + 2 * pad) - pad
+        assert len(traces) == len(state.error_history) > 1
+        correction = 0.0
+        for i, (trace, err) in enumerate(zip(traces, state.error_history)):
+            z, off = explicit_delay(rx, injected * L + correction)
+            ref = correlate_pn(z[chain.origin + i * chain.F * L + off + window], chain.pn, L)
+            assert np.max(np.abs(trace.r - ref.r)) <= 1e-12 * np.max(ref.r)
+            correction -= state.loop_gain * err
 
 
 class TestEstimatedEqualizer:

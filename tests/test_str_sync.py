@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tdslink.analysis import band_power_criterion, default_phase_grid
-from tdslink.channel import ChannelProfile, equivalent_response
+from tdslink.channel import ChannelProfile, equivalent_response, wrap_phase
 from tdslink.config import McConfig, ScenarioConfig
 from tdslink.dsp import SrrcSpec, delay, srrc_taps
 from tdslink.frame import FrameConfig, generate_pn
@@ -75,17 +75,19 @@ class TestTimingError:
         # oracle: correlation of analytically delayed shaped PN
         pn = generate_pn(128)
         rx, _ = _shaped_pn(pn)
-        late = delay(rx, 0.25)[0]   # waveform arrives later
-        early = delay(rx, -0.25)[0]
+        n = np.arange(rx.size)
+        late = delay(rx, 0.25, n)   # waveform arrives later
+        early = delay(rx, -0.25, n)
         assert timing_error(correlate_pn(late, pn, SPS)) > 0
         assert timing_error(correlate_pn(early, pn, SPS)) < 0
 
     def test_odd_in_offset(self):
         pn = generate_pn(128)
         rx, _ = _shaped_pn(pn)
+        n = np.arange(rx.size)
         for mu in (0.1, 0.2, 0.3):
-            e_pos = timing_error(correlate_pn(delay(rx, mu)[0], pn, SPS))
-            e_neg = timing_error(correlate_pn(delay(rx, -mu)[0], pn, SPS))
+            e_pos = timing_error(correlate_pn(delay(rx, mu, n), pn, SPS))
+            e_neg = timing_error(correlate_pn(delay(rx, -mu, n), pn, SPS))
             assert e_pos == pytest.approx(-e_neg, rel=0.05)
 
     def test_boundary_peak_rejected(self):
@@ -100,12 +102,13 @@ class TestTimingError:
             StrLoopState(loop_gain=1.5)
 
 
-def _scenario(channel=None, pn_len=512, ebn0=15.0, seed=5):
+def _scenario(channel=None, pn_len=512, ebn0=15.0, seed=5, pn_amplitude=None):
     from tdslink.channel import AWGN_PROFILE
 
     return ScenarioConfig(
         frame=FrameConfig(
-            n_fft=512, pn_len=pn_len, dual_pn=False, modulation="qam16"
+            n_fft=512, pn_len=pn_len, dual_pn=False, modulation="qam16",
+            pn_amplitude=pn_amplitude,
         ),
         srrc_span=16,
         channel=AWGN_PROFILE if channel is None else channel,
@@ -155,6 +158,17 @@ class TestTracking:
         }
         crit = band_power_criterion(responses, 0.05, 512)
         assert abs(report.epsilon_hat - crit.chosen) <= 1.0 / 128
+
+    def test_peak_on_window_edge_ends_tracking_unconverged(self):
+        # a guard buried in the data leaves the correlation peak anywhere
+        # in the window, and on its edge there is no timing error to form
+        cfg = _scenario(pn_amplitude=1e-8, seed=3)
+        report = run_str_baseline(cfg, n_frames=40, injected_epsilon=0.0)
+        assert not report.converged
+        assert 0 < len(report.error_history) < 40
+        # the phase the loop held when the edge peak ended it
+        held = (report.peak_offset - report.phase_estimate) / SPS
+        assert report.epsilon_hat == pytest.approx(wrap_phase(held))
 
     def test_multipath_pull_away_from_direct_ray(self):
         # a strong echo drags the correlation peak off the direct path
