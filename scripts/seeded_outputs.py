@@ -17,11 +17,14 @@ points stopped by ``min_errors`` with two stop-check groupings),
 responses, ``run_criterion`` with both estimators, and ``detect_labels``
 on fixed random symbols and on a grid of levels, midpoints between
 adjacent levels and values beyond the outermost level, for every
-constellation.  The ``str/*`` and ``criterion/*`` entries read the
-timing loop's ``epsilon_hat``, ``error_history``, ``peak_offset`` and
-``converged`` from the loop state ``run_str_baseline`` returns, or from
-the report that wrapped that state in older trees, so one script dumps
-both sides of that change.  ``config/*`` entries hold the fingerprint and the
+constellation.  ``theory/<channel>/<modulation>/<source>`` entries hold
+the ``run_theory`` rows, theory and Chernoff apart, on AWGN and threeray
+for bpsk, qam16 and qam256 over a small phase and Eb/N0 grid.  The
+``str/*`` and ``criterion/*`` entries read the timing loop's
+``epsilon_hat``, ``error_history``, ``peak_offset`` and ``converged``
+from the loop state ``run_str_baseline`` returns, or from the report
+that wrapped that state in older trees, so one script dumps both sides
+of that change.  ``config/*`` entries hold the fingerprint and the
 sidecar ``config`` JSON of the shipped recipes, of the scenario files the
 benchmark generates and of inline files that together set every key.
 A dump takes a few seconds.  Only load dumps this script wrote: they are
@@ -73,7 +76,6 @@ workers = 1
 equalizer = Estimated
 [run]
 seed = 0xBEEF
-ber_mode = Bits-Per-Symbol
 [criterion]
 grid = 24
 estimator = PN
@@ -100,8 +102,6 @@ with_oracle = 1
 profile = taps.txt
 [phase]
 epsilon = 0.5
-[run]
-ber_mode = bits-per-axis
 """,
 }
 
@@ -125,6 +125,7 @@ def dump(src: str, out: str) -> None:
         run_criterion,
         run_mc_ber,
         run_str_baseline,
+        run_theory,
     )
 
     threeray = load_profile(PROFILES / "threeray.txt")
@@ -198,6 +199,14 @@ def dump(src: str, out: str) -> None:
             rep.chosen_phase, counts(rep.chosen_point), rep.str_report.epsilon_hat,
             counts(rep.str_point), rep.oracle_phase,
             {eps: counts(p) for eps, p in rep.oracle_points.items()})
+    for name, p in (("awgn", AWGN_PROFILE), ("threeray", threeray)):
+        for mod in ("bpsk", "qam16", "qam256"):
+            c = cfg(channel=p, frame=FrameConfig(n_fft=256, pn_len=64, modulation=mod),
+                    ebn0_sweep=(4.0, 10.0, 16.0))
+            curve = run_theory(c, epsilons=[0.0, 0.125, -0.3, 0.5], include_chernoff=True)
+            for pt in curve.points:
+                res.setdefault(f"theory/{name}/{mod}/{pt.source.value}", []).append(
+                    (pt.epsilon, pt.ebn0_db, pt.ser, pt.ber))
     for name in ("bpsk", "qam16", "qam64", "qam256"):
         const = make_constellation(name)
         rng = np.random.default_rng(np.random.SeedSequence([11, const.order]))

@@ -3,12 +3,10 @@
 __version__ = "0.1.0"
 
 from .analysis import (
-    BerMode,
     CriterionResult,
     PhaseGrid,
     awgn_phase_criterion,
     band_power_criterion,
-    bpsk_theoretical_ber,
     chernoff_objective,
     default_phase_grid,
     rolloff_band,

@@ -1,15 +1,16 @@
 """Link-budget theory and sampling-phase selection criteria.
 
-The symbol error rate model treats each square-QAM symbol as two
-independent Gray-coded PAM branches; ``theoretical_ser`` is the average
-per-branch (per-axis) decision error rate across subcarriers, and the
-Monte-Carlo counters in :mod:`tdslink.montecarlo` estimate exactly that
-quantity, so theory and simulation converge to the same number.
+One error model serves every constellation: a symbol is one Gray-coded
+PAM decision per quadrature axis (BPSK is 2-level PAM on one axis,
+square M-QAM is sqrt(M)-level PAM on two).  ``theoretical_ser`` is the
+average per-axis decision error rate across subcarriers and
+``theoretical_ber`` divides it by the bits one axis carries; the
+Monte-Carlo counters in :mod:`tdslink.montecarlo` estimate exactly these
+quantities, so theory and simulation converge to the same numbers.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -20,12 +21,10 @@ from .channel import EquivResponse
 from .dsp import qfunc
 
 __all__ = [
-    "BerMode",
     "CriterionResult",
     "PhaseGrid",
     "awgn_phase_criterion",
     "band_power_criterion",
-    "bpsk_theoretical_ber",
     "chernoff_objective",
     "default_phase_grid",
     "rolloff_band",
@@ -33,20 +32,8 @@ __all__ = [
     "theoretical_ser",
 ]
 
-_SQUARE_ORDERS = (16, 64, 256)
-
-
-class BerMode(enum.Enum):
-    """How the theoretical BER divides the per-axis symbol error rate.
-
-    BITS_PER_AXIS divides by the bits carried on one quadrature axis
-    (log2 sqrt(M)), which is the Gray-map relation consistent with the
-    per-axis error model and the default for curve reproduction.
-    BITS_PER_SYMBOL divides by log2(M) instead.
-    """
-
-    BITS_PER_AXIS = "bits-per-axis"
-    BITS_PER_SYMBOL = "bits-per-symbol"
+# PAM levels per quadrature axis: BPSK is 2-level PAM, square M-QAM sqrt(M)
+_LEVELS = {2: 2, 16: 4, 64: 8, 256: 16}
 
 
 @dataclass(frozen=True)
@@ -90,11 +77,16 @@ def rolloff_band(n_fft: int, alpha: float) -> tuple[int, int]:
     return n_lo, n_hi
 
 
+def _levels(order: int) -> int:
+    if order not in _LEVELS:
+        raise ValueError(f"order must be one of {tuple(_LEVELS)}, got {order}")
+    return _LEVELS[order]
+
+
 def _qam_params(order: int) -> tuple[float, float]:
-    """(lambda, eta/gamma_b): prefactor and SNR coefficient for square QAM."""
-    if order not in _SQUARE_ORDERS:
-        raise ValueError(f"order must be one of {_SQUARE_ORDERS}, got {order}")
-    kappa = int(round(math.sqrt(order)))
+    """(lambda, eta/gamma_b): prefactor and SNR coefficient of kappa-level
+    PAM, kappa the levels per axis."""
+    kappa = _levels(order)
     lam = 2.0 * (kappa - 1) / kappa
     coeff = 6.0 * math.log2(kappa) / (kappa**2 - 1)
     return lam, coeff
@@ -109,12 +101,14 @@ def _magsq(response: EquivResponse | np.ndarray) -> np.ndarray:
 def theoretical_ser(
     response: EquivResponse | np.ndarray, ebn0_db: float, order: int
 ) -> float:
-    """Average per-axis symbol error rate for Gray square M-QAM.
+    """Average per-axis symbol error rate of Gray PAM per quadrature axis.
 
     (1/N) sum_n lambda Q(sqrt(|H_n|^2 coeff Eb/N0)) with
     lambda = 2(kappa-1)/kappa and coeff = 6 log2(kappa)/(kappa^2 - 1),
-    kappa = sqrt(M).  This is the decision error rate of one quadrature
-    PAM branch, the quantity the Monte-Carlo harness counts.
+    kappa the PAM levels per axis (sqrt(M) for square M-QAM, 2 for
+    BPSK, which gives Q(sqrt(2 |H_n|^2 Eb/N0))).  This is the decision
+    error rate of one PAM branch, the quantity the Monte-Carlo harness
+    counts.
     """
     magsq = _magsq(response)
     lam, coeff = _qam_params(order)
@@ -122,25 +116,10 @@ def theoretical_ser(
     return float(np.mean(lam * qfunc(np.sqrt(magsq * coeff * gamma))))
 
 
-def theoretical_ber(
-    ser: float, order: int, mode: BerMode = BerMode.BITS_PER_AXIS
-) -> float:
-    """Gray-map BER from the per-axis symbol error rate."""
-    if order not in _SQUARE_ORDERS:
-        raise ValueError(f"order must be one of {_SQUARE_ORDERS}, got {order}")
-    kappa = int(round(math.sqrt(order)))
-    if mode is BerMode.BITS_PER_AXIS:
-        return ser / math.log2(kappa)
-    return ser / math.log2(order)
-
-
-def bpsk_theoretical_ber(
-    response: EquivResponse | np.ndarray, ebn0_db: float
-) -> float:
-    """BPSK subcarriers: (1/N) sum_n Q(sqrt(2 |H_n|^2 Eb/N0))."""
-    magsq = _magsq(response)
-    gamma = 10.0 ** (ebn0_db / 10.0)
-    return float(np.mean(qfunc(np.sqrt(2.0 * magsq * gamma))))
+def theoretical_ber(ser: float, order: int) -> float:
+    """Gray-map BER from the per-axis symbol error rate: ``ser`` divided
+    by the bits one axis carries, log2(kappa) (1 for BPSK)."""
+    return ser / math.log2(_levels(order))
 
 
 def chernoff_objective(

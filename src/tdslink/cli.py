@@ -191,10 +191,8 @@ def _cmd_str_baseline(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]
     if args.frames < 1:
         raise ConfigError(f"--frames must be positive, got {args.frames}")
     report = run_str_baseline(cfg, n_frames=args.frames)
-    rows = [
-        f"{i},{err:.10g},{report.epsilon_hat:.10g}"
-        for i, err in enumerate(report.error_history)
-    ]
+    history = zip(report.error_history, report.phase_history)
+    rows = [f"{i},{err:.10g},{phase:.10g}" for i, (err, phase) in enumerate(history)]
     extra = {
         "epsilon_hat": report.epsilon_hat,
         "converged": report.converged,

@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .analysis import BerMode, PhaseGrid, default_phase_grid
+from .analysis import PhaseGrid, default_phase_grid
 from .channel import AWGN_PROFILE, ChannelProfile, load_profile, pn_spectrum
 from .dsp import SrrcSpec
 from .frame import FrameConfig
@@ -98,7 +98,6 @@ class ScenarioConfig:
     reference_ebn0: float | None = None
     mc: McConfig = field(default_factory=McConfig)
     seed: int = 1
-    ber_mode: BerMode = BerMode.BITS_PER_AXIS
     criterion: CriterionOptions = field(default_factory=CriterionOptions)
 
     def __post_init__(self):
@@ -157,7 +156,6 @@ class ScenarioConfig:
             "reference_ebn0": self.reference_ebn0,
             "mc": asdict(self.mc),
             "seed": self.seed,
-            "ber_mode": self.ber_mode.value,
             "criterion": asdict(self.criterion),
         }
 
@@ -205,14 +203,6 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(map(_to_float, parts))
 
 
-def _to_ber_mode(raw: str) -> BerMode:
-    try:
-        return BerMode(raw.lower())
-    except ValueError:
-        modes = [m.value for m in BerMode]
-        raise ValueError(f"must be one of {modes}, got {raw!r}") from None
-
-
 def _parse(where: str, parse, raw):
     """``parse(raw)``, with a bad value reported as a ConfigError naming
     ``where`` (a file's ``[section] key``, or a command-line option)."""
@@ -255,7 +245,7 @@ _SCHEMA = {
         "chunk_bursts": ("chunk_bursts", _to_int),
         "equalizer": ("equalizer", str.lower),
     },
-    "run": {"seed": ("seed", _to_int), "ber_mode": ("ber_mode", _to_ber_mode)},
+    "run": {"seed": ("seed", _to_int)},
     "criterion": {
         "grid": ("grid_size", _to_int),
         "estimator": ("estimator", str.lower),

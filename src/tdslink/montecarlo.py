@@ -34,11 +34,9 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .analysis import (
-    BerMode,
     CriterionResult,
     PhaseGrid,
     band_power_criterion,
-    bpsk_theoretical_ber,
     chernoff_objective,
     theoretical_ber,
     theoretical_ser,
@@ -47,7 +45,6 @@ from .channel import (
     EquivResponse,
     ImageSum,
     apply_channel,
-    awgn_response,
     estimate_complex_response_from_pn,
     estimate_response_from_pn,
 )
@@ -405,14 +402,9 @@ def measure_chain_response(cfg: ScenarioConfig, epsilon: float) -> np.ndarray:
 
 
 def _responses(cfg: ScenarioConfig, epsilons) -> list[EquivResponse]:
-    """Analytic equivalent response at each phase: the closed form on an
-    ideal channel, the aliased-image sum otherwise."""
-    alpha, n = cfg.frame.alpha, cfg.frame.n_fft
-    if cfg.channel.is_identity:
-        f = np.arange(n) / n
-        return [EquivResponse(awgn_response(alpha, eps, f), eps, alpha, "awgn")
-                for eps in epsilons]
-    images = ImageSum(cfg.channel, alpha, n)
+    """Analytic equivalent response at each phase: the aliased-image sum,
+    on every channel."""
+    images = ImageSum(cfg.channel, cfg.frame.alpha, cfg.frame.n_fft)
     return [images.response(eps) for eps in epsilons]
 
 
@@ -423,46 +415,29 @@ def run_theory(
 ) -> BerCurve:
     """Analytic BER/SER curves from the equivalent channel response.
 
-    Ideal channels use the closed-form branch response; multipath
-    profiles use the aliased-image sum.
+    Every row is one error model applied to the aliased-image response:
+    ``theoretical_ser`` (or, for the surrogate rows, ``chernoff_objective``)
+    followed by ``theoretical_ber``, for every constellation.
     """
     t0 = time.perf_counter()
     eps_list = [cfg.epsilon] if epsilons is None else list(epsilons)
     order = cfg.frame.constellation().order
+    rates = [(Source.THEORY, theoretical_ser)]
+    if include_chernoff:
+        rates.append((Source.CHERNOFF, chernoff_objective))
     points: list[BerPoint] = []
     for eps, resp in zip(eps_list, _responses(cfg, eps_list)):
         for ebn0 in cfg.ebn0_sweep:
-            if order == 2:
-                ber = bpsk_theoretical_ber(resp, ebn0)
-                ser = ber
-            else:
-                ser = theoretical_ser(resp, ebn0, order)
-                ber = theoretical_ber(ser, order, cfg.ber_mode)
-            points.append(
-                BerPoint(
-                    ebn0_db=ebn0,
-                    epsilon=eps,
-                    modulation=cfg.frame.modulation,
-                    ser=ser,
-                    ber=ber,
-                    source=Source.THEORY,
-                )
-            )
-            if include_chernoff and order != 2:
-                surr = chernoff_objective(resp, ebn0, order)
-                div = (
-                    math.log2(math.isqrt(order))
-                    if cfg.ber_mode is BerMode.BITS_PER_AXIS
-                    else math.log2(order)
-                )
+            for source, rate in rates:
+                ser = rate(resp, ebn0, order)
                 points.append(
                     BerPoint(
                         ebn0_db=ebn0,
                         epsilon=eps,
                         modulation=cfg.frame.modulation,
-                        ser=surr,
-                        ber=surr / div,
-                        source=Source.CHERNOFF,
+                        ser=ser,
+                        ber=theoretical_ber(ser, order),
+                        source=source,
                     )
                 )
     return BerCurve(points=points, wall_time_s=time.perf_counter() - t0)

@@ -76,12 +76,14 @@ def timing_error(trace: CorrelationTrace) -> float:
 @dataclass
 class StrLoopState:
     """First-order tracking loop state in oversampled samples, and its
-    outcome: the last frame's peak offset, whether the loop converged
-    and the sampling phase ``epsilon_hat`` it settled on."""
+    outcome: each frame's timing error and the ``phase_estimate`` after
+    that frame's update, the last frame's peak offset, whether the loop
+    converged and the sampling phase ``epsilon_hat`` it settled on."""
 
     phase_estimate: float = 0.0
     loop_gain: float = 0.5
     error_history: list[float] = field(default_factory=list)
+    phase_history: list[float] = field(default_factory=list)
     peak_offset: int = 0
     converged: bool = False
     epsilon_hat: float = 0.0
@@ -135,6 +137,7 @@ def str_track(
         # peak index relative to the nominal on-time position of this window
         state.peak_offset = trace.peak_index - pad
         state.phase_estimate -= state.loop_gain * err
+        state.phase_history.append(state.phase_estimate)
         ok_streak = ok_streak + 1 if abs(err) < _SETTLED_ERROR else 0
         if ok_streak >= _SETTLED_FRAMES:
             state.converged = True

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdslink.analysis import (
-    BerMode,
     PhaseGrid,
     awgn_phase_criterion,
     band_power_criterion,
-    bpsk_theoretical_ber,
     chernoff_objective,
     default_phase_grid,
     rolloff_band,
@@ -49,7 +47,7 @@ class TestTheoreticalSer:
         assert theoretical_ser(h, 10.0, 16) == pytest.approx(expected, rel=1e-12)
 
     def test_dead_channel(self):
-        for order, kappa in [(16, 4), (64, 8), (256, 16)]:
+        for order, kappa in [(2, 2), (16, 4), (64, 8), (256, 16)]:
             ser = theoretical_ser(np.zeros(64), 10.0, order)
             assert ser == pytest.approx((kappa - 1) / kappa, rel=1e-12)
 
@@ -69,6 +67,8 @@ class TestTheoreticalSer:
     def test_rejects_non_square_order(self):
         with pytest.raises(ValueError):
             theoretical_ser(np.ones(8), 10.0, 32)
+        with pytest.raises(ValueError):
+            theoretical_ber(0.01, 32)
 
     def test_accepts_response_object(self):
         resp = equivalent_response(AWGN_PROFILE, ALPHA, 0.0, 256)
@@ -77,26 +77,43 @@ class TestTheoreticalSer:
         )
 
 
+# complex gains of a drawn response, and an Eb/N0 in dB
+gains = st.lists(
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=64,
+).map(np.array)
+ebn0s = st.floats(-10.0, 30.0)
+
+
+class TestBpskIsTwoLevelPam:
+    @given(gains, ebn0s)
+    @settings(max_examples=200, deadline=None)
+    def test_ser_is_the_written_out_q_sum(self, h, ebn0_db):
+        gamma = 10.0 ** (ebn0_db / 10.0)
+        expected = float(np.mean(qfunc(np.sqrt(2.0 * np.abs(h) ** 2 * gamma))))
+        assert theoretical_ser(h, ebn0_db, 2) == expected
+
+    @given(gains, ebn0s)
+    @settings(max_examples=200, deadline=None)
+    def test_chernoff_is_the_written_out_exponential(self, h, ebn0_db):
+        gamma = 10.0 ** (ebn0_db / 10.0)
+        expected = float(np.mean(np.exp(-2.0 * np.abs(h) ** 2 * gamma)))
+        assert chernoff_objective(h, ebn0_db, 2) == expected
+
+
 class TestTheoreticalBer:
     def test_axis_mode(self):
         # 0.003509 / 2, quoted to the same four significant digits
-        assert theoretical_ber(0.003509, 16, BerMode.BITS_PER_AXIS) == pytest.approx(
-            0.001754, abs=1e-6
-        )
-
-    def test_symbol_mode(self):
-        assert theoretical_ber(0.003509, 16, BerMode.BITS_PER_SYMBOL) == pytest.approx(
-            0.000877, abs=1e-6
-        )
+        assert theoretical_ber(0.003509, 16) == pytest.approx(0.001754, abs=1e-6)
 
     def test_zero_in_zero_out(self):
         assert theoretical_ber(0.0, 64) == 0.0
 
     def test_bpsk_branch(self):
+        # one bit per axis: the BER is the per-axis SER, Q(sqrt(2 Eb/N0))
         h = np.ones(128)
-        assert bpsk_theoretical_ber(h, 8.0) == pytest.approx(
-            float(qfunc(np.sqrt(2 * 10 ** 0.8))), rel=1e-12
-        )
+        ber = theoretical_ber(theoretical_ser(h, 8.0, 2), 2)
+        assert ber == pytest.approx(float(qfunc(np.sqrt(2 * 10 ** 0.8))), rel=1e-12)
 
 
 class TestChernoffObjective:

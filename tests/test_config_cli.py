@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdslink.analysis import BerMode, default_phase_grid
+from tdslink.analysis import default_phase_grid
 from tdslink.channel import AWGN_PROFILE, ChannelProfile, load_profile, pn_spectrum
 from tdslink.cli import main
 from tdslink.config import (
@@ -66,7 +66,6 @@ class TestConfigFiles:
         assert cfg.frame.modulation == "qam16"
         assert cfg.ebn0_sweep == (6.0, 8.0)
         assert cfg.seed == 5
-        assert cfg.ber_mode is BerMode.BITS_PER_AXIS
         assert cfg.channel.name == "awgn"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -103,7 +102,9 @@ class TestConfigFiles:
             ("seed = 5", "seed = 5\n[phase]\nepsilon = inf", "finite"),
             ("seed = 5", "seed = 5\n[phase]\ngrid = 0", "grid size"),
             ("modulation = qam16", "modulation = qam32", "unknown modulation"),
-            ("seed = 5", "seed = 5\nber_mode = magic", "ber_mode"),
+            # the BER relation is not configurable: ber_mode is an unknown key
+            ("seed = 5", "seed = 5\nber_mode = bits-per-axis",
+             "unknown key 'ber_mode'"),
             ("ebn0_db = 6, 8", "ebn0_db = 10, 6", "sorted"),
             ("min_bits = 20000", "min_bits = 20000\nequalizer = psychic",
              "equalizer"),
@@ -206,7 +207,7 @@ def write_scenario(desc: dict, directory: Path) -> Path:
         "sweep": {"ebn0_db": ", ".join(map(repr, desc["ebn0_sweep"])),
                   "reference_ebn0": desc["reference_ebn0"]},
         "mc": desc["mc"],
-        "run": {"seed": desc["seed"], "ber_mode": desc["ber_mode"]},
+        "run": {"seed": desc["seed"]},
         "criterion": criterion,
     }
 
@@ -290,7 +291,6 @@ def scenarios(draw) -> ScenarioConfig:
             equalizer=draw(st.sampled_from(equalizers)),
         ),
         seed=draw(st.integers(0, 2**64)),
-        ber_mode=draw(st.sampled_from(list(BerMode))),
         criterion=CriterionOptions(
             grid_size=draw(st.integers(1, 512)),
             estimator=draw(st.sampled_from(estimators)),
@@ -312,7 +312,7 @@ NON_DEFAULT = {
     "mc": {"min_bits": "1000", "min_errors": "10", "max_frames": "40",
            "frames_per_burst": "2", "chunk_bursts": "3",
            "equalizer": "estimated"},
-    "run": {"seed": "9", "ber_mode": "bits-per-symbol"},
+    "run": {"seed": "9"},
     "criterion": {"grid": "16", "estimator": "pn", "with_str": "false",
                   "with_oracle": "true"},
 }
@@ -518,6 +518,22 @@ class TestCli:
         assert sidecar["converged"] is True
         assert abs(sidecar["epsilon_hat"]) < 0.02
 
+    def test_str_baseline_writes_the_phase_estimate_per_frame(self, cfg_file, tmp_path):
+        # each row holds the loop's correction after that frame's update,
+        # p_i = p_(i-1) - 0.5 e_i from p_(-1) = 0, not the converged phase
+        out = tmp_path / "str.csv"
+        main(["str-baseline", "--config", str(cfg_file), "--out", str(out),
+              "--frames", "12", "--epsilon", "0.1"])
+        rows = [list(map(float, line.split(",")))
+                for line in out.read_text().strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(len(rows)))
+        assert len(rows) > 1
+        phase = 0.0
+        for _, err, estimate in rows:
+            phase -= 0.5 * err
+            assert estimate == pytest.approx(phase, rel=1e-9, abs=1e-12)
+        assert len({r[2] for r in rows}) == len(rows)
+
     def test_weak_guard_str_baseline_is_flagged(self, tmp_path, capsys):
         # the correlation peak of a guard buried in the data lands on the
         # window's edge: the loop stops unconverged, the run is flagged
@@ -544,6 +560,17 @@ class TestCli:
         sidecar = json.loads(Path(str(out) + ".json").read_text())
         assert sidecar["chosen_phase"] == 0.0
         assert len(sidecar["objective"]) == 8
+
+    def test_bpsk_theory_writes_chernoff_rows(self, cfg_file, tmp_path):
+        out = tmp_path / "bpsk.csv"
+        rc = main(["theory", "--config", str(cfg_file), "--modulation", "bpsk",
+                   "--chernoff", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [(r[0], r[7]) for r in rows] == [
+            ("6", "theory"), ("6", "chernoff"), ("8", "theory"), ("8", "chernoff")]
+        # one bit per axis: the BER column is the per-axis SER column
+        assert all(r[2] == "bpsk" and r[3] == r[4] for r in rows)
 
     def test_modulation_override(self, cfg_file, tmp_path):
         out = tmp_path / "t64.csv"

@@ -183,6 +183,30 @@ class TestTheoryRunner:
         sources = {p.source for p in pts}
         assert sources == {Source.THEORY, Source.CHERNOFF}
 
+    @pytest.mark.parametrize("modulation", ["bpsk", "qam16", "qam64", "qam256"])
+    def test_awgn_matches_the_closed_form(self, modulation):
+        # the image sum on an ideal channel against the independent
+        # closed-form branch response
+        from tdslink.analysis import chernoff_objective, theoretical_ber, theoretical_ser
+
+        cfg = _cfg(frame=FrameConfig(n_fft=256, pn_len=64, modulation=modulation),
+                   ebn0_sweep=(4.0, 10.0, 16.0))
+        order = cfg.frame.constellation().order
+        phases = [0.0, 0.125, -0.3, 0.5]
+        pts = iter(run_theory(cfg, epsilons=phases, include_chernoff=True).points)
+        for eps in phases:
+            h = awgn_response(0.05, eps, np.arange(256) / 256)
+            for ebn0 in cfg.ebn0_sweep:
+                for source, rate in ((Source.THEORY, theoretical_ser),
+                                     (Source.CHERNOFF, chernoff_objective)):
+                    p = next(pts)
+                    expected = rate(h, ebn0, order)
+                    assert (p.source, p.epsilon, p.ebn0_db) == (source, eps, ebn0)
+                    assert p.ser == pytest.approx(expected, rel=1e-12, abs=0)
+                    assert p.ber == pytest.approx(theoretical_ber(expected, order),
+                                                  rel=1e-12, abs=0)
+        assert next(pts, None) is None
+
     def test_multipath_uses_aliased_sum(self):
         from tdslink.analysis import theoretical_ser
         from tdslink.channel import equivalent_response
