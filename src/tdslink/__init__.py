@@ -64,4 +64,5 @@ from .str_sync import (
     correlate_pn,
     str_track,
     timing_error,
+    track_rows,
 )

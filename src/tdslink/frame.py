@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -146,14 +146,21 @@ _MODULATION_ORDERS = {"bpsk": 2, "qam16": 16, "qam64": 64, "qam256": 256}
 
 
 def make_constellation(name: str) -> Constellation:
-    """Build one of the supported constellations: bpsk, qam16/64/256."""
+    """One of the supported constellations: bpsk, qam16/64/256.  Each is
+    built once per process and shared, its ``points`` read-only."""
     key = name.lower()
     if key not in _MODULATION_ORDERS:
         raise ValueError(f"unknown modulation {name!r}")
+    return _constellation(key)
+
+
+@cache
+def _constellation(key: str) -> Constellation:
     order = _MODULATION_ORDERS[key]
     if order == 2:
         # bit 0 -> +1, bit 1 -> -1 on the real axis
         points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
+        points.flags.writeable = False
         return Constellation(name=key, order=2, points=points)
     kappa = int(round(math.sqrt(order)))
     axis_bits = int(round(math.log2(kappa)))
@@ -165,6 +172,7 @@ def make_constellation(name: str) -> Constellation:
         pi = _gray_decode(i_label)
         pq = _gray_decode(q_label)
         points[label] = complex(2 * pi - (kappa - 1), 2 * pq - (kappa - 1)) / scale
+    points.flags.writeable = False
     return Constellation(name=key, order=order, points=points)
 
 

@@ -13,9 +13,12 @@ convolution of the frames with the phase's symbol-rate impulse response,
 so every frame has neighbours on both sides and every frame is measured,
 with one fold, FFT, slice and bit count per burst.  The oversampled
 path (shaping -> channel -> matched filter) runs once per scenario, on one
-unit symbol, when first needed; noisy streams (timing-recovery baseline,
-PN estimator) are convolved with that response, and each phase reads it
-only at the symbol instants used: a response's support, or guard windows.
+unit symbol, when first needed.  Noisy streams (timing-recovery baseline,
+PN estimator) are built only in the windows the receiver reads: one row
+per frame's guard, the symbols that reach it convolved with that
+response and the slice of the stream's one noise draw that reaches it
+through the matched filter.  Each phase reads a response or a row only
+at the symbol instants used: a response's support, or guard windows.
 
 Symbol errors are counted per quadrature axis (each square-QAM symbol is
 two Gray-coded PAM decisions), the same quantity
@@ -51,7 +54,7 @@ from .channel import (
 from .config import ScenarioConfig
 from .dsp import INTERP_TAPS, delay, srrc_taps
 from .frame import build_frames, detect_labels
-from .str_sync import StrLoopState, str_track
+from .str_sync import StrLoopState, str_track, track_rows
 
 __all__ = [
     "BerCurve",
@@ -173,31 +176,49 @@ class _Chain:
     def front_end(
         self,
         symbols: np.ndarray,
-        ebn0_db: float | None = None,
-        rng: np.random.Generator | None = None,
+        ebn0_db: float | None,
+        rng: np.random.Generator | None,
+        starts,
+        width: int,
     ) -> np.ndarray:
-        """Shape, propagate and matched-filter a symbol stream, its first
-        symbol at index :attr:`origin`: the stream convolved with
-        :attr:`response`, the explicit path's output on the stream
-        zero-padded like it.
+        """Windows of the shaped, propagated and matched-filtered symbol
+        stream: row r of the (len(starts), width) block is the output
+        over [starts[r], starts[r] + width), zero beyond its ends.
 
-        With ``ebn0_db`` set, :meth:`noise` is drawn from ``rng`` for
-        every channel output sample of that path and added through the
-        matched filter.
+        The output, its first symbol at index :attr:`origin`, is the
+        stream convolved with :attr:`response`: the explicit path's output
+        on the stream zero-padded like it, (symbols.size - 1) * L +
+        response.size samples long.  Each row convolves only the symbols
+        that reach it.  With ``ebn0_db`` set, :meth:`noise` is drawn from
+        ``rng`` for every channel output sample of that path, whatever the
+        windows, and each row adds the slice of it that reaches the row
+        through the matched filter.
         """
-        up = np.zeros((symbols.size - 1) * self.L + 1, dtype=np.complex128)
-        up[:: self.L] = symbols
-        y = fftconvolve(up, self.response)
+        L, h, taps = self.L, self.response, self.taps
+        starts = np.asarray(starts, dtype=np.int64)[:, None]
+        # the symbols whose response reaches a row: the first ends just
+        # past the row's start, and n cover the row
+        first = (starts - h.size) // L + 1
+        n = (width + h.size - 1) // L + 1
+        idx = first + np.arange(n)
+        up = np.zeros((starts.shape[0], n * L), dtype=np.complex128)
+        up[:, ::L] = np.where((idx >= 0) & (idx < symbols.size),
+                              symbols.take(idx, mode="clip"), 0)
+        out = np.take_along_axis(fftconvolve(up, h[None], axes=1),
+                                 starts - first * L + np.arange(width), axis=1)
         if ebn0_db is not None:
-            noise = self.noise(rng, y.size - self.taps.size + 1, ebn0_db)
-            y += fftconvolve(noise, self.taps)
-        return y
+            size = (symbols.size - 1) * L + h.size - taps.size + 1
+            noise = self.noise(rng, size, ebn0_db)
+            idx = starts - taps.size + 1 + np.arange(width + taps.size - 1)
+            slices = np.where((idx >= 0) & (idx < size), noise.take(idx, mode="clip"), 0)
+            out += fftconvolve(slices, taps[None], mode="valid", axes=1)
+        return out
 
     def sample(self, rx: np.ndarray, epsilon: float, at: np.ndarray) -> np.ndarray:
         """Symbol-rate samples of a matched-filter output taken
-        ``epsilon`` symbols late, at the symbol indices ``at`` (index 0 at
-        :attr:`origin`; any shape)."""
-        at = self.origin + np.asarray(at) * self.L
+        ``epsilon`` symbols late, at the on-time sample indices ``at``
+        (any shape); the symbol of :attr:`response` is on time at
+        :attr:`origin`."""
         return delay(rx, -epsilon * self.L, at)
 
     def symbol_response(self, epsilon: float) -> np.ndarray:
@@ -218,7 +239,8 @@ class _Chain:
         pre = 2 * self.cfg.srrc_span * L + 2 * (INTERP_TAPS // 2)
         post = pre + float(np.max(self.cfg.channel.delays)) * L
         reach = math.ceil(max(pre + epsilon * L, post - epsilon * L) / L) + 1
-        return self.sample(self.response, epsilon, np.arange(-reach, reach + 1))
+        return self.sample(self.response, epsilon,
+                           self.origin + L * np.arange(-reach, reach + 1))
 
     @staticmethod
     def ring_response(g: np.ndarray, n: int) -> np.ndarray:
@@ -483,7 +505,11 @@ def run_str_baseline(
     would hand to the demodulator; over an ideal channel it recovers the
     injected delay.
     """
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
     eps = cfg.epsilon if injected_epsilon is None else injected_epsilon
+    if not math.isfinite(eps):
+        raise ValueError(f"injected_epsilon must be finite, got {eps}")
     return _str_baseline(_Chain(cfg), eps, n_frames, loop_gain)
 
 
@@ -491,9 +517,12 @@ def _str_baseline(chain, eps: float, n_frames: int, loop_gain: float) -> StrLoop
     cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57D]))
     _, frames = chain.draw_frames(rng, n_frames)
-    rx = chain.front_end(frames.ravel(), cfg.ref_ebn0, rng)
-    return str_track(rx, chain.pn, StrLoopState(loop_gain=loop_gain), n_frames, chain.L,
-                     cfg.frame.frame_len, guard_offset=chain.origin, injected=eps * chain.L)
+    # one row per frame, its guard at ``offset``
+    offset, width = track_rows(chain.pn.chips.size, chain.L)
+    starts = chain.origin + np.arange(n_frames) * chain.F * chain.L - offset
+    rows = chain.front_end(frames.ravel(), cfg.ref_ebn0, rng, starts, width)
+    return str_track(rows, chain.pn, StrLoopState(loop_gain=loop_gain), chain.L, offset,
+                     injected=eps * chain.L)
 
 
 @dataclass
@@ -530,13 +559,20 @@ def _pn_estimated_responses(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
     B = max(cfg.mc.frames_per_burst, 4)
     _, frames = chain.draw_frames(rng, B)
-    rx = chain.front_end(frames.ravel(), cfg.ref_ebn0, rng)
-    # stream indices of the inner frames' estimation windows
-    at = chain.estimation_windows(np.arange(B * chain.F).reshape(B, chain.F)[1:-1])
+    L, P = chain.L, cfg.frame.pn_len
+    # stream symbol index of each inner frame's estimation window
+    first = chain.estimation_windows(np.arange(B * chain.F).reshape(B, chain.F)[1:-1])[:, 0]
+    # one row per window, with the samples the sampler reads on either side
+    reach = INTERP_TAPS // 2 + math.ceil(np.max(np.abs(grid.phases)) * L)
+    width = (P - 1) * L + 1 + 2 * reach
+    rows = chain.front_end(frames.ravel(), cfg.ref_ebn0, rng,
+                           chain.origin + first * L - reach, width)
+    # on-time instants of the windows' chips in the rows read one after another
+    at = width * np.arange(first.size)[:, None] + reach + L * np.arange(P)
 
     out: dict[float, EquivResponse] = {}
     for eps in grid.phases:
-        windows = chain.sample(rx, float(eps), at)
+        windows = chain.sample(rows.ravel(), float(eps), at)
         out[float(eps)] = estimate_response_from_pn(
             windows, chain.pn, chain.N, guard_amplitude=cfg.frame.guard_amplitude
         )

@@ -99,6 +99,13 @@ class TestConstellations:
         assert np.mean(np.abs(const.points) ** 2) == pytest.approx(1.0, abs=1e-12)
         assert np.unique(const.points).size == const.order
 
+    @pytest.mark.parametrize("name", ["bpsk", "qam16", "qam64", "qam256"])
+    def test_one_read_only_table_per_modulation(self, name):
+        const = make_constellation(name)
+        assert make_constellation(name.upper()) is const
+        with pytest.raises(ValueError, match="read-only"):
+            const.points[0] = 0
+
     def test_bpsk_convention(self):
         const = make_constellation("bpsk")
         assert const.points[0] == 1.0 + 0.0j
@@ -265,7 +272,9 @@ class TestTransmitChain:
         const = cfg.constellation()
         data = const.points[rng.integers(0, 16, (1, 4096))]
         frame = build_frames(data, cfg.pn, cfg)[0]
-        out = chain.front_end(frame)  # shaped, ideal channel, matched filter
+        # the whole output: shaped, ideal channel, matched filter
+        out = chain.front_end(frame, None, None, [0],
+                              (frame.size - 1) * cfg.n_upsam + chain.response.size)[0]
         # oracle: periodogram split at the roll-off edge
         spectrum = np.abs(np.fft.fft(out)) ** 2
         f = np.fft.fftfreq(out.size) * cfg.n_upsam  # cycles per symbol

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo engine and analytic curve runners."""
 
+import copy
 import dataclasses
 import threading
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdslink import montecarlo, str_sync
-from tdslink.analysis import default_phase_grid
+from tdslink.analysis import PhaseGrid, default_phase_grid
 from tdslink.channel import (
     AWGN_PROFILE,
     ChannelProfile,
@@ -263,22 +264,52 @@ def explicit_delay(x, d):
     return np.convolve(x, taps), taps.size // 2 - base
 
 
+def whole_front_end(chain, symbols, ebn0_db=None, rng=None):
+    """The front end's output on ``symbols`` as one window over all of it."""
+    width = (symbols.size - 1) * chain.L + chain.response.size
+    return chain.front_end(symbols, ebn0_db, rng, [0], width)[0]
+
+
+_front_end_profiles = [
+    (ChannelProfile(delays=[0.0, 0.8, 3.25], gains=[1.0, 0.4j, -0.3]), 4),
+    (ChannelProfile(delays=[0.3, 5.5], gains=[1.0, 0.5]), 2),
+    (AWGN_PROFILE, 4),
+]
+
+
 class TestFrontEnd:
-    @pytest.mark.parametrize("profile, n_upsam", [
-        (ChannelProfile(delays=[0.0, 0.8, 3.25], gains=[1.0, 0.4j, -0.3]), 4),
-        (ChannelProfile(delays=[0.3, 5.5], gains=[1.0, 0.5]), 2),
-        (AWGN_PROFILE, 4),
-    ])
+    @pytest.mark.parametrize("profile, n_upsam", _front_end_profiles)
     @pytest.mark.parametrize("ebn0_db", [None, 10.0])
     def test_cached_response_equals_explicit_path(self, profile, n_upsam, ebn0_db):
         chain = _Chain(_cfg(channel=profile,
                             frame=FrameConfig(n_fft=128, pn_len=32, n_upsam=n_upsam)))
         stream = chain.draw_frames(np.random.default_rng(2), 3)[1].ravel()
-        fast = chain.front_end(stream, ebn0_db, np.random.default_rng(3))
+        fast = whole_front_end(chain, stream, ebn0_db, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         ref, origin = explicit_front_end(chain, stream, ebn0_db, rng)
         assert (chain.origin, fast.size) == (origin, ref.size)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @given(case=st.sampled_from(_front_end_profiles), noisy=st.booleans(),
+           width=st.integers(1, 700),
+           starts=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_windows_equal_explicit_path(self, case, noisy, width, starts):
+        # windows anywhere, hanging over either end of the output or past
+        # it altogether, read as the explicit path's output zero-extended
+        profile, n_upsam = case
+        chain = _Chain(_cfg(channel=profile,
+                            frame=FrameConfig(n_fft=128, pn_len=32, n_upsam=n_upsam)))
+        stream = chain.draw_frames(np.random.default_rng(2), 2)[1].ravel()
+        ebn0_db = 10.0 if noisy else None
+        ref, _ = explicit_front_end(chain, stream, ebn0_db, np.random.default_rng(3))
+        starts = [round(f * ref.size) - width // 2 for f in starts]
+        got = chain.front_end(stream, ebn0_db, np.random.default_rng(3), starts, width)
+        pad = ref.size + width
+        ext = np.pad(ref, pad)
+        expected = np.array([ext[pad + s : pad + s + width] for s in starts])
+        assert got.shape == (len(starts), width)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +318,7 @@ def noisy_front_end():
     chain = _Chain(cfg)
     rng = np.random.default_rng(3)
     _, frames = chain.draw_frames(rng, 3)
-    return chain, chain.front_end(frames.ravel(), 10.0, rng)
+    return chain, whole_front_end(chain, frames.ravel(), 10.0, rng)
 
 
 def _readable(chain, z, off):
@@ -303,9 +334,10 @@ class TestPhaseSampling:
     def test_one_symbol_later_is_one_index_later(self, noisy_front_end, k):
         chain, rx = noisy_front_end
         eps = k / 128  # dyadic, so eps * L and (eps + 1) * L are exact
-        # every symbol index of the buffer, and a few past both of its ends
-        at = np.arange(-(chain.origin // chain.L) - 2, rx.size // chain.L + 2)
-        assert np.array_equal(chain.sample(rx, eps + 1, at), chain.sample(rx, eps, at + 1))
+        # every symbol instant of the buffer, and a few past both of its ends
+        L = chain.L
+        at = chain.origin + L * np.arange(-(chain.origin // L) - 2, rx.size // L + 2)
+        assert np.array_equal(chain.sample(rx, eps + 1, at), chain.sample(rx, eps, at + L))
 
     @given(eps=st.floats(-0.5, 0.5) | st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5]),
            ends=st.lists(st.integers(0, 40), min_size=1, max_size=20),
@@ -319,7 +351,7 @@ class TestPhaseSampling:
         at = np.array([lo + e for e in ends] + [hi - e for e in ends]
                       + [lo + m % (hi - lo + 1) for m in middle])
         full = z[chain.origin + off + at * chain.L]
-        got = chain.sample(rx, eps, at)
+        got = chain.sample(rx, eps, chain.origin + at * chain.L)
         if (eps * chain.L).is_integer():  # whole samples: read, not computed
             assert np.array_equal(got, full)
         else:
@@ -357,16 +389,27 @@ class TestSymbolResponse:
         assert np.max(np.abs(fast - full)) <= 1e-12 * np.max(np.abs(full))
 
 
+def _spy_whole_stream(monkeypatch):
+    """Record, for every front_end call, the explicit path's whole output
+    on the same symbols and noise draw."""
+    streams = []
+    front_end = _Chain.front_end
+
+    def spy(self, symbols, ebn0_db, rng, starts, width):
+        streams.append(explicit_front_end(self, symbols, ebn0_db, copy.deepcopy(rng))[0])
+        return front_end(self, symbols, ebn0_db, rng, starts, width)
+
+    monkeypatch.setattr(_Chain, "front_end", spy)
+    return streams
+
+
 class TestTimingLoopWindows:
     @pytest.mark.parametrize("injected", [0.0, 0.3, -0.45])
     def test_window_is_the_delayed_stream(self, monkeypatch, injected):
         # every correlation the loop forms is correlate_pn of its frame's
         # window, read from the whole stream delayed by the injected phase
         # plus the loop's correction at that frame
-        streams, traces = [], []
-        front_end = _Chain.front_end
-        monkeypatch.setattr(_Chain, "front_end", lambda self, *a: streams.append(
-            front_end(self, *a)) or streams[-1])
+        streams, traces = _spy_whole_stream(monkeypatch), []
         monkeypatch.setattr(str_sync, "correlate_pn", lambda *a: traces.append(
             correlate_pn(*a)) or traces[-1])
         cfg = _cfg(channel=ChannelProfile(delays=[0.0, 0.8], gains=[1.0, 0.4j]),
@@ -382,6 +425,45 @@ class TestTimingLoopWindows:
             ref = correlate_pn(z[chain.origin + i * chain.F * L + off + window], chain.pn, L)
             assert np.max(np.abs(trace.r - ref.r)) <= 1e-12 * np.max(ref.r)
             correction -= state.loop_gain * err
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_delay_past_the_margin_ends_tracking_unconverged(self, monkeypatch, sign):
+        # the rows hold the drift margin and no more: a delay that rounds
+        # to one sample past it ends tracking before any window is read
+        reads = []
+        monkeypatch.setattr(str_sync, "correlate_pn", lambda *a: reads.append(
+            correlate_pn(*a)) or reads[-1])
+        cfg = _cfg(ebn0_sweep=(15.0,))
+        margin = str_sync._DRIFT_MARGIN * cfg.frame.n_upsam
+        inside = montecarlo.run_str_baseline(
+            cfg, n_frames=8, injected_epsilon=sign * (margin + 0.4) / cfg.frame.n_upsam)
+        assert len(inside.error_history) == len(reads) > 0
+        reads.clear()
+        past = montecarlo.run_str_baseline(
+            cfg, n_frames=8, injected_epsilon=sign * (margin + 0.6) / cfg.frame.n_upsam)
+        assert (past.converged, past.error_history, reads) == (False, [], [])
+
+
+class TestPnWindows:
+    @pytest.mark.parametrize("profile, n_upsam", _front_end_profiles)
+    def test_windows_equal_full_stream_samples(self, monkeypatch, profile, n_upsam):
+        # each phase's guard windows, sampled from the rows, equal the
+        # whole stream sampled at the inner frames' estimation windows
+        streams = _spy_whole_stream(monkeypatch)
+        windows = []
+        monkeypatch.setattr(montecarlo, "estimate_response_from_pn",
+                            lambda w, *a, **kw: windows.append(w))
+        chain = _Chain(_cfg(channel=profile,
+                            frame=FrameConfig(n_fft=128, pn_len=32, n_upsam=n_upsam)))
+        grid = PhaseGrid(np.array([-0.5, -0.3, 0.0, 0.2, 0.5]))
+        montecarlo._pn_estimated_responses(chain, grid)
+        (rx,), B, F = streams, 4, chain.F
+        at = chain.estimation_windows(np.arange(B * F).reshape(B, F)[1:-1])
+        assert len(windows) == len(grid)
+        for eps, got in zip(grid.phases, windows):
+            full = chain.sample(rx, eps, chain.origin + at * chain.L)
+            assert got.shape == full.shape
+            assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(rx))
 
 
 class TestEstimatedEqualizer:

@@ -170,6 +170,16 @@ class TestTracking:
         held = (report.peak_offset - report.phase_estimate) / SPS
         assert report.epsilon_hat == pytest.approx(wrap_phase(held))
 
+    @pytest.mark.parametrize("n_frames", [0, -3])
+    def test_rejects_no_frames(self, n_frames):
+        with pytest.raises(ValueError, match="n_frames"):
+            run_str_baseline(_scenario(), n_frames=n_frames)
+
+    @pytest.mark.parametrize("injected", [float("nan"), float("inf")])
+    def test_rejects_non_finite_injected_phase(self, injected):
+        with pytest.raises(ValueError, match="injected_epsilon"):
+            run_str_baseline(_scenario(), injected_epsilon=injected)
+
     def test_multipath_pull_away_from_direct_ray(self):
         # a strong echo drags the correlation peak off the direct path
         # timing; the tracked phase is then a compromise, not zero
