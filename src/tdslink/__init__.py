@@ -22,6 +22,7 @@ from .channel import (
     equivalent_response,
     estimate_response_from_pn,
     load_profile,
+    pn_spectrum,
     wrap_phase,
 )
 from .config import (

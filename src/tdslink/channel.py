@@ -216,16 +216,14 @@ def pn_spectrum(pn: PnSequence, guard_amplitude: float = 1.0) -> np.ndarray:
     return ref
 
 
-def _pn_ls_estimate(
-    guard_windows: np.ndarray, pn: PnSequence, guard_amplitude: float
-) -> np.ndarray:
-    """Per-bin LS estimate DFT(rx)/DFT(tx_guard), averaged over the rows."""
+def _pn_ls_estimate(guard_windows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per-bin LS estimate DFT(rx)/DFT(tx_guard), averaged over the rows;
+    ``ref`` is DFT(tx_guard), from :func:`pn_spectrum`."""
     windows = np.atleast_2d(np.asarray(guard_windows, dtype=np.complex128))
-    if windows.shape[1] != pn.chips.size:
+    if windows.shape[1] != ref.size:
         raise ValueError(
-            f"guard windows have length {windows.shape[1]}, PN is {pn.chips.size}"
+            f"guard windows have length {windows.shape[1]}, PN is {ref.size}"
         )
-    ref = pn_spectrum(pn, guard_amplitude)
     return np.mean(np.fft.fft(windows, axis=1), axis=0) / ref
 
 
@@ -236,21 +234,19 @@ def _interp_bins(values: np.ndarray, n_fft: int) -> np.ndarray:
 
 
 def estimate_response_from_pn(
-    guard_windows: np.ndarray,
-    pn: PnSequence,
-    n_fft: int,
-    guard_amplitude: float = 1.0,
+    guard_windows: np.ndarray, ref: np.ndarray, n_fft: int
 ) -> EquivResponse:
     """Least-squares channel magnitude estimate from received guards.
 
     ``guard_windows`` holds one row per received guard interval (symbol
-    rate, candidate phase already applied).  Per-bin estimates
+    rate, candidate phase already applied), and ``ref`` is the
+    transmitted guard's :func:`pn_spectrum`.  Per-bin estimates
     DFT(rx)/DFT(tx_guard) are averaged coherently over the rows, then
     |H|^2 is linearly interpolated from the guard length up to ``n_fft``
     bins.  Only magnitudes are meaningful in the result (the band-power
     phase criterion needs nothing else), so ``h`` is real non-negative.
     """
-    est = _pn_ls_estimate(guard_windows, pn, guard_amplitude)
+    est = _pn_ls_estimate(guard_windows, ref)
     magsq = _interp_bins(np.abs(est) ** 2, n_fft)
     return EquivResponse(
         h=np.sqrt(magsq).astype(np.complex128),
@@ -261,10 +257,10 @@ def estimate_response_from_pn(
 
 
 def estimate_complex_response_from_pn(
-    guard_windows: np.ndarray, pn: PnSequence, n_fft: int, guard_amplitude: float
+    guard_windows: np.ndarray, ref: np.ndarray, n_fft: int
 ) -> np.ndarray:
     """Complex gains for equalizing: the LS step of
     :func:`estimate_response_from_pn` with the real and imaginary parts
     interpolated up to ``n_fft`` bins."""
-    est = _pn_ls_estimate(guard_windows, pn, guard_amplitude)
+    est = _pn_ls_estimate(guard_windows, ref)
     return _interp_bins(est.real, n_fft) + 1j * _interp_bins(est.imag, n_fft)

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import special
 
 __all__ = [
     "INTERP_TAPS",
     "SrrcSpec",
+    "convolve",
     "delay",
     "qfunc",
     "raised_cosine_response",
@@ -103,12 +106,37 @@ def srrc_taps(spec: SrrcSpec) -> np.ndarray:
     return h / math.sqrt(np.sum(h * h))
 
 
+def convolve(a, b, mode: str = "full", axis: int = -1) -> np.ndarray:
+    """Linear convolution of ``a`` and ``b`` along ``axis`` (the other
+    axes broadcast), through complex FFTs: complex, with the same numbers
+    as SciPy's ``fftconvolve`` gives for a complex result.
+
+    ``mode="full"`` keeps all n + m - 1 outputs, ``"valid"`` the
+    |n - m| + 1 that overlap the longer input completely.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    n, m = a.shape[axis], b.shape[axis]
+    if mode == "full":
+        lo, hi = 0, n + m - 1
+    elif mode == "valid":
+        lo, hi = min(n, m) - 1, max(n, m)
+    else:
+        raise ValueError(f"mode must be 'full' or 'valid', got {mode!r}")
+    size = sp_fft.next_fast_len(n + m - 1, real=False)
+    out = sp_fft.ifft(sp_fft.fft(a, size, axis=axis) * sp_fft.fft(b, size, axis=axis),
+                      axis=axis)
+    return out[(slice(None),) * (axis % out.ndim) + (slice(lo, hi),)].copy()
+
+
+@lru_cache(maxsize=1024)
 def _interp_taps(mu: float) -> np.ndarray:
     """Taps of the interpolator that delays by ``mu`` samples:
-    y[n] = sum_k taps[k] x[n + half - k]."""
+    y[n] = sum_k taps[k] x[n + half - k]; one read-only array per shift."""
     lags = np.arange(INTERP_TAPS) - INTERP_TAPS // 2
     taps = np.sinc(lags - mu) * np.blackman(INTERP_TAPS)
-    return taps / taps.sum()  # unit DC gain at every shift
+    taps /= taps.sum()  # unit DC gain at every shift
+    taps.setflags(write=False)
+    return taps
 
 
 def delay(x: np.ndarray, d: float, at) -> np.ndarray:

@@ -34,7 +34,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .analysis import (
     CriterionResult,
@@ -50,9 +49,10 @@ from .channel import (
     apply_channel,
     estimate_complex_response_from_pn,
     estimate_response_from_pn,
+    pn_spectrum,
 )
-from .config import ScenarioConfig
-from .dsp import INTERP_TAPS, delay, srrc_taps
+from .config import ConfigError, ScenarioConfig
+from .dsp import INTERP_TAPS, convolve, delay, srrc_taps
 from .frame import build_frames, detect_labels
 from .str_sync import StrLoopState, str_track, track_rows
 
@@ -134,6 +134,13 @@ class _Chain:
         max_delay = int(math.ceil(float(np.max(cfg.channel.delays))))
         # two-sided tail of the equivalent symbol-rate channel
         self.tail = 2 * cfg.srrc_span + max_delay + 10
+        # symbols a burst folds into each body from either side of it
+        self.margin = min(self.tail, max(0, self.G - self.tail))
+        if self.margin > self.N:
+            raise ConfigError(
+                f"[frame] n_fft = {self.N} is smaller than the {self.margin} symbols "
+                "folded into each block from either side; raise n_fft"
+            )
         # zeros the oversampled path puts around its unit symbol
         self.pad = self.tail + 2
         # index of the symbol in :attr:`response`: the padding plus the
@@ -161,6 +168,12 @@ class _Chain:
         return ImageSum(self.cfg.channel, self.cfg.frame.alpha, self.N)
 
     @cached_property
+    def pn_dft(self) -> np.ndarray:
+        """The transmitted guard's :func:`pn_spectrum`, the PN estimators'
+        divisor, computed once per chain."""
+        return pn_spectrum(self.pn, self.cfg.frame.guard_amplitude)
+
+    @cached_property
     def response(self) -> np.ndarray:
         """Noiseless oversampled response of the front end to one unit
         symbol, at index :attr:`origin`: the explicit shaping -> channel
@@ -168,10 +181,10 @@ class _Chain:
         on both sides."""
         up = np.zeros((2 * self.pad + 1) * self.L, dtype=np.complex128)
         up[self.pad * self.L] = 1.0
-        tx = fftconvolve(up, self.taps)
+        tx = convolve(up, self.taps)
         if not self.cfg.channel.is_identity:
             tx = apply_channel(tx, self.cfg.channel, self.L)
-        return fftconvolve(tx, self.taps)
+        return convolve(tx, self.taps)
 
     def front_end(
         self,
@@ -204,14 +217,14 @@ class _Chain:
         up = np.zeros((starts.shape[0], n * L), dtype=np.complex128)
         up[:, ::L] = np.where((idx >= 0) & (idx < symbols.size),
                               symbols.take(idx, mode="clip"), 0)
-        out = np.take_along_axis(fftconvolve(up, h[None], axes=1),
+        out = np.take_along_axis(convolve(up, h[None]),
                                  starts - first * L + np.arange(width), axis=1)
         if ebn0_db is not None:
             size = (symbols.size - 1) * L + h.size - taps.size + 1
             noise = self.noise(rng, size, ebn0_db)
             idx = starts - taps.size + 1 + np.arange(width + taps.size - 1)
             slices = np.where((idx >= 0) & (idx < size), noise.take(idx, mode="clip"), 0)
-            out += fftconvolve(slices, taps[None], mode="valid", axes=1)
+            out += convolve(slices, taps[None], mode="valid")
         return out
 
     def sample(self, rx: np.ndarray, epsilon: float, at: np.ndarray) -> np.ndarray:
@@ -307,7 +320,7 @@ def _simulate_burst(
     per-subcarrier noise level the analytic model uses.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    k, N, G = chain.k, chain.N, chain.G
+    k, N, G, margin = chain.k, chain.N, chain.G, chain.margin
 
     tx_labels, frames = chain.draw_frames(rng, n_frames)
     rows = np.fft.ifft(np.fft.fft(frames.ravel()) * ring_h).reshape(frames.shape)
@@ -315,14 +328,11 @@ def _simulate_burst(
     if h_eq is None:  # estimated-equalizer mode
         windows = chain.estimation_windows(rows)
         windows = windows + chain.noise(rng, windows.shape, ebn0_db)
-        h_eq = estimate_complex_response_from_pn(
-            windows, chain.pn, N, chain.cfg.frame.guard_amplitude
-        )
+        h_eq = estimate_complex_response_from_pn(windows, chain.pn_dft, N)
 
     # fold into each body the `margin` symbols before it (the end of its
     # own guard) and after it (the start of the next frame's guard),
     # restoring the circular convolution the per-subcarrier model assumes
-    margin = min(chain.tail, max(0, G - chain.tail))
     data = rows - pn_ref
     body = data[:, G:].copy()
     body[:, N - margin :] += data[:, G - margin : G]
@@ -573,9 +583,7 @@ def _pn_estimated_responses(
     out: dict[float, EquivResponse] = {}
     for eps in grid.phases:
         windows = chain.sample(rows.ravel(), float(eps), at)
-        out[float(eps)] = estimate_response_from_pn(
-            windows, chain.pn, chain.N, guard_amplitude=cfg.frame.guard_amplitude
-        )
+        out[float(eps)] = estimate_response_from_pn(windows, chain.pn_dft, chain.N)
     return out
 
 

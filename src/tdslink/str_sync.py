@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .channel import wrap_phase
-from .dsp import INTERP_TAPS, delay
+from .dsp import INTERP_TAPS, convolve, delay
 from .frame import PnSequence
 
 __all__ = [
@@ -66,7 +65,7 @@ def correlate_pn(
         )
     kernel = np.zeros(kernel_len)
     kernel[::n_upsam] = pn.chips
-    r = np.abs(fftconvolve(rx, kernel[::-1], mode="valid"))
+    r = np.abs(convolve(rx, kernel[::-1], mode="valid"))
     return CorrelationTrace(r=r, peak_index=int(np.argmax(r)))
 
 

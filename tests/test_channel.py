@@ -12,6 +12,7 @@ from tdslink.channel import (
     equivalent_response,
     estimate_response_from_pn,
     load_profile,
+    pn_spectrum,
     wrap_phase,
 )
 from tdslink.config import ScenarioConfig
@@ -208,14 +209,14 @@ class TestPnEstimation:
     def test_ideal_channel_estimate_is_flat(self):
         pn = generate_pn(128)
         windows = self._ideal_windows(AWGN_PROFILE, 0.0, pn, 1)
-        est = estimate_response_from_pn(windows, pn, 1024)
+        est = estimate_response_from_pn(windows, pn_spectrum(pn), 1024)
         assert np.max(np.abs(np.abs(est.h) - 1.0)) < 1e-6
 
     def test_two_ray_estimate_tracks_analytic(self):
         p = ChannelProfile(delays=[0.0, 0.5], gains=[1.0, 0.6])
         pn = generate_pn(128)
         windows = self._ideal_windows(p, 0.25, pn, 1)
-        est = estimate_response_from_pn(windows, pn, 1024)
+        est = estimate_response_from_pn(windows, pn_spectrum(pn), 1024)
         ref = equivalent_response(p, ALPHA, 0.25, 1024)
         err = np.linalg.norm(np.abs(est.h) - np.abs(ref.h)) / np.linalg.norm(
             np.abs(ref.h)
@@ -236,7 +237,7 @@ class TestPnEstimation:
                     rng.standard_normal(clean.shape)
                     + 1j * rng.standard_normal(clean.shape)
                 )
-                est = estimate_response_from_pn(noisy, pn, 128)
+                est = estimate_response_from_pn(noisy, pn_spectrum(pn), 128)
                 errs.append(np.mean((np.abs(est.h) - 1.0) ** 2))
             variances[n_avg] = np.mean(errs)
         assert variances[4] == pytest.approx(variances[1] / 4, rel=0.4)
@@ -245,4 +246,4 @@ class TestPnEstimation:
     def test_rejects_wrong_window_length(self):
         pn = generate_pn(128)
         with pytest.raises(ValueError):
-            estimate_response_from_pn(np.zeros((1, 64)), pn, 1024)
+            estimate_response_from_pn(np.zeros((1, 64)), pn_spectrum(pn), 1024)

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from tdslink.dsp import (
+    INTERP_TAPS,
     SrrcSpec,
+    _interp_taps,
+    convolve,
     delay,
     qfunc,
     raised_cosine_response,
@@ -221,6 +225,57 @@ class TestDelay:
         power = np.abs(y) ** 2
         peak = np.sum(n * power) / np.sum(power)
         assert peak == pytest.approx(centre + d, abs=1e-9)
+
+
+    @given(st.floats(min_value=-0.5, max_value=0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_interpolator_taps_are_cached_and_read_only(self, mu):
+        # the cached taps are the ones the formula gives, bit for bit
+        lags = np.arange(INTERP_TAPS) - INTERP_TAPS // 2
+        fresh = np.sinc(lags - mu) * np.blackman(INTERP_TAPS)
+        taps = _interp_taps(mu)
+        assert np.array_equal(taps, fresh / fresh.sum())
+        assert _interp_taps(mu) is taps
+        assert not taps.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# linear convolution
+# ---------------------------------------------------------------------------
+
+
+def _complex_arrays(shape):
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    return st.tuples(
+        hnp.arrays(np.float64, shape, elements=parts),
+        hnp.arrays(np.float64, shape, elements=parts),
+    ).map(lambda ri: ri[0] + 1j * ri[1])
+
+
+class TestConvolve:
+    @given(data=st.data(), n=st.integers(1, 80), m=st.integers(1, 80),
+           rows=st.none() | st.integers(1, 4), real_b=st.booleans(),
+           mode=st.sampled_from(["full", "valid"]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_np_convolve(self, data, n, m, rows, real_b, mode):
+        # one pair, or ``rows`` pairs batched along axis 1 with ``b``
+        # broadcast from a single row half the time
+        lead = () if rows is None else (rows,)
+        a = data.draw(_complex_arrays(lead + (n,)))
+        b_rows = () if rows is None else (data.draw(st.sampled_from([1, rows])),)
+        b = data.draw(_complex_arrays(b_rows + (m,)))
+        if real_b:
+            b = b.real
+        got = convolve(a, b, mode=mode, axis=-1 if rows is None else 1)
+        a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
+        want = np.array([np.convolve(x, y, mode=mode)
+                         for x, y in zip(a2, np.broadcast_to(b2, (a2.shape[0], m)))])
+        assert got.shape == (want[0].shape if rows is None else want.shape)
+        assert np.max(np.abs(got - want.reshape(got.shape))) <= 1e-12
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            convolve(np.ones(4), np.ones(2), mode="same")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ imports a name it never uses."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,15 @@ def test_no_unused_imports():
     unused = [u for path in sources if path.name != "__init__.py"
               for u in _unused_imports(path)]
     assert unused == []
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs most of a cold start and the package needs only
+    # scipy.fft and scipy.special; an import of it under tdslink fails here
+    code = "import sys, tdslink.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(tdslink.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

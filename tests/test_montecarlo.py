@@ -19,7 +19,7 @@ from tdslink.channel import (
 from tdslink.config import McConfig, ScenarioConfig
 from scipy.signal import fftconvolve
 
-from tdslink.dsp import _interp_taps, qfunc
+from tdslink.dsp import _interp_taps, convolve, qfunc
 from tdslink.frame import FrameConfig
 from tdslink.montecarlo import (
     Source,
@@ -326,6 +326,29 @@ def _readable(chain, z, off):
     (``z[n]`` at index ``n + off``) holds."""
     lo = -((chain.origin + off) // chain.L)
     return lo, lo + (z.size - 1 - (chain.origin + off + lo * chain.L)) // chain.L
+
+
+class TestConvolveCalls:
+    def test_every_call_equals_fftconvolve(self, monkeypatch):
+        # the unit-symbol response, the front end's signal and noise rows
+        # and the timing loop's correlation, on the benchmark's frame geometry,
+        # give scipy's numbers bit for bit
+        calls = []
+
+        def spy(a, b, mode="full", axis=-1):
+            calls.append((a, b, mode))
+            return convolve(a, b, mode, axis)
+
+        monkeypatch.setattr(montecarlo, "convolve", spy)
+        monkeypatch.setattr(str_sync, "convolve", spy)
+        chain = _Chain(_cfg(channel=_front_end_profiles[0][0],
+                            frame=FrameConfig(n_fft=1024, pn_len=128)))
+        montecarlo._pn_estimated_responses(chain, default_phase_grid(8))
+        montecarlo._str_baseline(chain, 0.0, 8, 0.5)
+        assert {(a.ndim, mode) for a, _, mode in calls} == {
+            (1, "full"), (2, "full"), (2, "valid"), (1, "valid")}
+        for a, b, mode in calls:
+            assert np.array_equal(convolve(a, b, mode), fftconvolve(a, b, mode, axes=-1))
 
 
 class TestPhaseSampling:
