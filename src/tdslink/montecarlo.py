@@ -134,13 +134,6 @@ class _Chain:
         max_delay = int(math.ceil(float(np.max(cfg.channel.delays))))
         # two-sided tail of the equivalent symbol-rate channel
         self.tail = 2 * cfg.srrc_span + max_delay + 10
-        # symbols a burst folds into each body from either side of it
-        self.margin = min(self.tail, max(0, self.G - self.tail))
-        if self.margin > self.N:
-            raise ConfigError(
-                f"[frame] n_fft = {self.N} is smaller than the {self.margin} symbols "
-                "folded into each block from either side; raise n_fft"
-            )
         # zeros the oversampled path puts around its unit symbol
         self.pad = self.tail + 2
         # index of the symbol in :attr:`response`: the padding plus the
@@ -166,6 +159,18 @@ class _Chain:
     def images(self) -> ImageSum:
         """The aliased sum behind the known equalizer, built on first use."""
         return ImageSum(self.cfg.channel, self.cfg.frame.alpha, self.N)
+
+    @cached_property
+    def margin(self) -> int:
+        """Symbols a burst folds into each body from either side of it;
+        a body shorter than that is a configuration error."""
+        margin = min(self.tail, max(0, self.G - self.tail))
+        if margin > self.N:
+            raise ConfigError(
+                f"[frame] n_fft = {self.N} is smaller than the {margin} symbols "
+                "folded into each block from either side; raise n_fft"
+            )
+        return margin
 
     @cached_property
     def pn_dft(self) -> np.ndarray:

@@ -476,18 +476,30 @@ class TestCli:
             assert capsys.readouterr().err.startswith(f"config error: {path}: ")
             assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "criterion", "str-baseline"])
+    SHORT_BLOCK = ("n_fft = 256\npn_len = 64\ndual_pn = true",
+                   "n_fft = 32\npn_len = 128\ndual_pn = false")
+
+    @pytest.mark.parametrize("command", ["simulate", "criterion"])
     def test_block_shorter_than_the_fold_exits_2(self, tmp_path, capsys, command):
         # a 32-symbol block under a single 128-chip guard: the burst folds
         # 42 symbols into each block from either side
         path = tmp_path / "short.cfg"
-        path.write_text(MINIMAL.replace("n_fft = 256\npn_len = 64\ndual_pn = true",
-                                        "n_fft = 32\npn_len = 128\ndual_pn = false"))
+        path.write_text(MINIMAL.replace(*self.SHORT_BLOCK))
         out = tmp_path / "x.csv"
         rc = main([command, "--config", str(path), "--ebn0", "8", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: [frame] n_fft = 32 ")
         assert not out.exists()
+
+    def test_block_shorter_than_the_fold_still_tracks(self, tmp_path):
+        # the timing loop never folds, so the short block is no error there
+        path = tmp_path / "short.cfg"
+        path.write_text(MINIMAL.replace(*self.SHORT_BLOCK))
+        out = tmp_path / "x.csv"
+        rc = main(["str-baseline", "--config", str(path), "--out", str(out),
+                   "--frames", "20"])
+        assert rc == 0
+        assert out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["theory", "--config", str(tmp_path / "gone.cfg")])

@@ -258,15 +258,15 @@ class TestConvolve:
            mode=st.sampled_from(["full", "valid"]))
     @settings(max_examples=80, deadline=None)
     def test_matches_np_convolve(self, data, n, m, rows, real_b, mode):
-        # one pair, or ``rows`` pairs batched along axis 1 with ``b``
-        # broadcast from a single row half the time
+        # one pair, or ``rows`` pairs batched along the last axis with
+        # ``b`` broadcast from a single row half the time
         lead = () if rows is None else (rows,)
         a = data.draw(_complex_arrays(lead + (n,)))
         b_rows = () if rows is None else (data.draw(st.sampled_from([1, rows])),)
         b = data.draw(_complex_arrays(b_rows + (m,)))
         if real_b:
             b = b.real
-        got = convolve(a, b, mode=mode, axis=-1 if rows is None else 1)
+        got = convolve(a, b, mode=mode)
         a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
         want = np.array([np.convolve(x, y, mode=mode)
                          for x, y in zip(a2, np.broadcast_to(b2, (a2.shape[0], m)))])

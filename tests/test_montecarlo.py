@@ -16,7 +16,7 @@ from tdslink.channel import (
     apply_channel,
     awgn_response,
 )
-from tdslink.config import McConfig, ScenarioConfig
+from tdslink.config import ConfigError, McConfig, ScenarioConfig
 from scipy.signal import fftconvolve
 
 from tdslink.dsp import _interp_taps, convolve, qfunc
@@ -232,6 +232,14 @@ class TestChainResponse:
             err = np.linalg.norm(measured - ref) / np.linalg.norm(ref)
             assert 20 * np.log10(err) < -50.0
 
+    def test_block_shorter_than_the_fold(self):
+        # 32 symbols under one 128-chip guard: the response wraps onto the
+        # block, while a burst, which folds 42 symbols, is refused
+        cfg = _cfg(frame=FrameConfig(n_fft=32, pn_len=128, dual_pn=False))
+        assert measure_chain_response(cfg, 0.25).shape == (32,)
+        with pytest.raises(ConfigError, match=r"\[frame\] n_fft = 32 "):
+            run_mc_ber(cfg)
+
 
 def explicit_front_end(chain, symbols, ebn0_db=None, rng=None):
     """The oversampled path written out stage by stage: zero-pad by
@@ -335,9 +343,9 @@ class TestConvolveCalls:
         # give scipy's numbers bit for bit
         calls = []
 
-        def spy(a, b, mode="full", axis=-1):
+        def spy(a, b, mode="full"):
             calls.append((a, b, mode))
-            return convolve(a, b, mode, axis)
+            return convolve(a, b, mode)
 
         monkeypatch.setattr(montecarlo, "convolve", spy)
         monkeypatch.setattr(str_sync, "convolve", spy)
