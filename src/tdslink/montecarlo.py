@@ -1,24 +1,28 @@
 """Scenario-driven Monte-Carlo BER engine and analytic curve runners.
 
 The receiver implemented here is the idealized one the closed-form BER
-model assumes: perfect frame alignment, known guard contribution removed
-before demodulation, and each OFDM block's filter tails folded back into
-its window so the symbol-rate channel acts circularly on the block.
-Per-subcarrier gains then match the analytic equivalent response to the
-shaping-filter truncation floor, which is what makes theory-vs-simulation
-comparisons meaningful.
+model assumes: perfect frame alignment, the known guard contribution
+removed before demodulation, and each OFDM block's filter tails folded
+back into its window so the symbol-rate channel acts circularly on the
+block.  The chain from the symbols to the symbol-rate samples at a phase
+is linear and time-invariant, so that receiver's block is exactly the
+block's data symbols X times H_chain, the phase's symbol-rate impulse
+response wrapped onto the block (:func:`measure_chain_response`).  Each
+point computes H_chain once; a burst is then Y = X H_chain + DFT(noise),
+with no waveform, and every drawn frame is measured.  Its gains match the
+analytic equivalent response to the shaping-filter truncation floor,
+which is what makes theory-vs-simulation comparisons meaningful.
 
-A burst's frames form a ring: the noiseless chain is one circular
-convolution of the frames with the phase's symbol-rate impulse response,
-so every frame has neighbours on both sides and every frame is measured,
-with one fold, FFT, slice and bit count per burst.  The oversampled
-path (shaping -> channel -> matched filter) runs once per scenario, on one
-unit symbol, when first needed.  Noisy streams (timing-recovery baseline,
-PN estimator) are built only in the windows the receiver reads: one row
-per frame's guard, the symbols that reach it convolved with that
-response and the slice of the stream's one noise draw that reaches it
-through the matched filter.  Each phase reads a response or a row only
-at the symbol instants used: a response's support, or guard windows.
+The oversampled path (shaping -> channel -> matched filter) runs once
+per scenario, on one unit symbol, when first needed.  Noisy streams
+(timing-recovery baseline, PN estimator) are built only in the windows
+the receiver reads: one row per frame's guard, the symbols that reach it
+convolved with that response and the slice of the stream's one noise
+draw that reaches it through the matched filter.  The estimated
+equalizer reads its guard windows from the burst's frames as a ring,
+circularly convolved with the phase's response.  Each phase reads a
+response or a row only at the symbol instants used: a response's
+support, or guard windows.
 
 Symbol errors are counted per quadrature axis (each square-QAM symbol is
 two Gray-coded PAM decisions), the same quantity
@@ -51,7 +55,7 @@ from .channel import (
     estimate_response_from_pn,
     pn_spectrum,
 )
-from .config import ConfigError, ScenarioConfig
+from .config import ScenarioConfig
 from .dsp import INTERP_TAPS, convolve, delay, srrc_taps
 from .frame import build_frames, detect_labels
 from .str_sync import StrLoopState, str_track, track_rows
@@ -132,45 +136,29 @@ class _Chain:
         self.L = f.n_upsam
         self.F = f.frame_len
         max_delay = int(math.ceil(float(np.max(cfg.channel.delays))))
-        # two-sided tail of the equivalent symbol-rate channel
-        self.tail = 2 * cfg.srrc_span + max_delay + 10
-        # zeros the oversampled path puts around its unit symbol
-        self.pad = self.tail + 2
+        # zeros the oversampled path puts around its unit symbol; the
+        # streams' noise draw is as long as that path's output
+        self.pad = 2 * cfg.srrc_span + max_delay + 12
         # index of the symbol in :attr:`response`: the padding plus the
         # delays of the shaping and matched filters
         self.origin = self.pad * self.L + self.taps.size - 1
-        # one frame period of a guards-only ring
-        self.guard_spectrum = np.fft.fft(
-            build_frames(np.zeros((1, self.N)), self.pn, f)[0]
-        )
 
-    def draw_frames(
-        self, rng: np.random.Generator, n_frames: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Random (n_frames, N) symbol labels from MSB-first random bits,
-        and the (n_frames, F) block of frames that carries them."""
+    def draw_labels(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
+        """Random (n_frames, N) symbol labels from MSB-first random bits."""
         k = self.k
         bits = rng.integers(0, 2, size=(n_frames, self.N * k), dtype=np.int64)
         weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-        labels = bits.reshape(n_frames, self.N, k) @ weights
-        return labels, build_frames(self.const.points[labels], self.pn, self.cfg.frame)
+        return bits.reshape(n_frames, self.N, k) @ weights
+
+    def draw_frames(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
+        """The (n_frames, F) block of frames carrying :meth:`draw_labels`."""
+        symbols = self.const.points[self.draw_labels(rng, n_frames)]
+        return build_frames(symbols, self.pn, self.cfg.frame)
 
     @cached_property
     def images(self) -> ImageSum:
         """The aliased sum behind the known equalizer, built on first use."""
         return ImageSum(self.cfg.channel, self.cfg.frame.alpha, self.N)
-
-    @cached_property
-    def margin(self) -> int:
-        """Symbols a burst folds into each body from either side of it;
-        a body shorter than that is a configuration error."""
-        margin = min(self.tail, max(0, self.G - self.tail))
-        if margin > self.N:
-            raise ConfigError(
-                f"[frame] n_fft = {self.N} is smaller than the {margin} symbols "
-                "folded into each block from either side; raise n_fft"
-            )
-        return margin
 
     @cached_property
     def pn_dft(self) -> np.ndarray:
@@ -269,6 +257,12 @@ class _Chain:
         np.add.at(wrapped, (np.arange(g.size) - g.size // 2) % n, g)
         return np.fft.fft(wrapped)
 
+    def chain_response(self, epsilon: float) -> np.ndarray:
+        """H_chain, the per-subcarrier gains of the noiseless chain at
+        phase ``epsilon``: its :meth:`symbol_response` wrapped onto one
+        block."""
+        return self.ring_response(self.symbol_response(epsilon), self.N)
+
     def noise_var(self, ebn0_db: float) -> float:
         """Complex noise variance per sample, at the symbol rate or the
         oversampled rate alike.
@@ -307,42 +301,40 @@ def _zf_equalize(Y: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _simulate_burst(
     chain: _Chain,
     seed_key: list[int],
-    ring_h: np.ndarray,
+    H: np.ndarray,
     ebn0_db: float,
     h_eq: np.ndarray | None,
-    pn_ref: np.ndarray,
+    ring_h: np.ndarray | None,
     n_frames: int,
 ) -> tuple[int, int, int, int]:
     """One independent burst; returns (bit_errors, bits, axis_errors, axes).
 
-    The burst's frames form a ring: the noiseless waveform chain is the
-    circular convolution of the frames with the phase's symbol-rate
-    response, whose :meth:`_Chain.ring_response` over the whole burst is
-    ``ring_h``, so every frame has a neighbour on either side and every
-    frame is measured.  Calibrated white noise enters per demodulation
-    window at the symbol rate, which is exactly what it looks like after
-    the matched filter anyway and keeps the restored blocks at the
-    per-subcarrier noise level the analytic model uses.
+    With the guard removed and every block's tails folded back into it,
+    the noiseless chain acts on each block's data symbols X through its
+    per-subcarrier gains ``H`` (:meth:`_Chain.chain_response`), so the
+    demodulator's block is Y = X H + DFT(noise).  The noise is drawn per
+    block at the symbol rate, white with the variance the matched filter
+    leaves, which is the per-subcarrier noise level the analytic model
+    uses.
+
+    Only the estimated equalizer (``h_eq`` None) builds the burst's frames:
+    they form a ring, circularly convolved with the phase's response,
+    whose DFT over the whole burst is ``ring_h``, and it averages every
+    frame's guard window of that ring.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    k, N, G, margin = chain.k, chain.N, chain.G, chain.margin
+    k, N = chain.k, chain.N
 
-    tx_labels, frames = chain.draw_frames(rng, n_frames)
-    rows = np.fft.ifft(np.fft.fft(frames.ravel()) * ring_h).reshape(frames.shape)
-
+    tx_labels = chain.draw_labels(rng, n_frames)
+    X = chain.const.points[tx_labels]
     if h_eq is None:  # estimated-equalizer mode
+        frames = build_frames(X, chain.pn, chain.cfg.frame)
+        rows = np.fft.ifft(np.fft.fft(frames.ravel()) * ring_h).reshape(frames.shape)
         windows = chain.estimation_windows(rows)
         windows = windows + chain.noise(rng, windows.shape, ebn0_db)
         h_eq = estimate_complex_response_from_pn(windows, chain.pn_dft, N)
 
-    # fold into each body the `margin` symbols before it (the end of its
-    # own guard) and after it (the start of the next frame's guard),
-    # restoring the circular convolution the per-subcarrier model assumes
-    data = rows - pn_ref
-    body = data[:, G:].copy()
-    body[:, N - margin :] += data[:, G - margin : G]
-    body[:, :margin] += np.roll(data[:, :margin], -1, axis=0)
-    Y = np.fft.fft(body + chain.noise(rng, (n_frames, N), ebn0_db), axis=1)
+    Y = X * H + np.fft.fft(chain.noise(rng, (n_frames, N), ebn0_db), axis=1)
     rx_labels = detect_labels(_zf_equalize(Y, h_eq), chain.const)
     diff = tx_labels ^ rx_labels
     # per-axis decisions: the in-phase half of the label, then the
@@ -364,19 +356,17 @@ def _run_point(
     cfg = chain.cfg
     mc = cfg.mc
     B = mc.frames_per_burst
-    g = chain.symbol_response(epsilon)
-    # a guards-only ring repeats every frame, so one frame period of it
-    # is the guard reference of every row
-    pn_ref = np.fft.ifft(chain.guard_spectrum * chain.ring_response(g, chain.F))
-    ring_h = chain.ring_response(g, B * chain.F)
-    h_eq = None  # estimated from each burst's guards
+    H = chain.chain_response(epsilon)
     if mc.equalizer == "known":
-        h_eq = chain.images.response(epsilon).h
+        h_eq, ring_h = chain.images.response(epsilon).h, None
+    else:  # estimated from each burst's guards, cut from its ring
+        g = chain.symbol_response(epsilon)
+        h_eq, ring_h = None, chain.ring_response(g, B * chain.F)
 
     bit_errors = bits = axis_errors = axes = 0
     for idx in range(mc.max_frames // B):
         be, b, ae, a = _simulate_burst(
-            chain, [cfg.seed, ebn0_idx, phase_idx, idx], ring_h, ebn0_db, h_eq, pn_ref, B
+            chain, [cfg.seed, ebn0_idx, phase_idx, idx], H, ebn0_db, h_eq, ring_h, B
         )
         bit_errors += be
         bits += b
@@ -430,12 +420,11 @@ def measure_chain_response(cfg: ScenarioConfig, epsilon: float) -> np.ndarray:
     """Per-subcarrier gains of the noiseless simulated chain.
 
     This is H_chain: the DFT of the phase's symbol-rate impulse response
-    wrapped onto one block, which is what the receiver sees when the fold
-    covers that response's support.  Directly comparable to the analytic
-    equivalent response.
+    wrapped onto one block, whatever the block's length, and the gains
+    every Monte-Carlo burst applies to its data symbols.  Directly
+    comparable to the analytic equivalent response.
     """
-    chain = _Chain(cfg)
-    return chain.ring_response(chain.symbol_response(epsilon), chain.N)
+    return _Chain(cfg).chain_response(epsilon)
 
 
 def _responses(cfg: ScenarioConfig, epsilons) -> list[EquivResponse]:
@@ -531,7 +520,7 @@ def run_str_baseline(
 def _str_baseline(chain, eps: float, n_frames: int, loop_gain: float) -> StrLoopState:
     cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57D]))
-    _, frames = chain.draw_frames(rng, n_frames)
+    frames = chain.draw_frames(rng, n_frames)
     # one row per frame, its guard at ``offset``
     offset, width = track_rows(chain.pn.chips.size, chain.L)
     starts = chain.origin + np.arange(n_frames) * chain.F * chain.L - offset
@@ -573,7 +562,7 @@ def _pn_estimated_responses(
     cfg = chain.cfg
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
     B = max(cfg.mc.frames_per_burst, 4)
-    _, frames = chain.draw_frames(rng, B)
+    frames = chain.draw_frames(rng, B)
     L, P = chain.L, cfg.frame.pn_len
     # stream symbol index of each inner frame's estimation window
     first = chain.estimation_windows(np.arange(B * chain.F).reshape(B, chain.F)[1:-1])[:, 0]

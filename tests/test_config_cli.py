@@ -1,5 +1,6 @@
 """Tests for scenario files and the command-line front end."""
 
+import dataclasses
 import json
 import math
 import re
@@ -22,7 +23,13 @@ from tdslink.config import (
     load_scenario,
 )
 from tdslink.frame import FrameConfig, default_pn_poly
-from tdslink.montecarlo import CSV_HEADER
+from tdslink.montecarlo import (
+    CSV_HEADER,
+    run_criterion,
+    run_mc_ber,
+    run_str_baseline,
+    run_theory,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RECIPES = ("fig3.cfg", "fig5.cfg", "fig6.cfg", "sec4-comparison.cfg")
@@ -480,19 +487,18 @@ class TestCli:
                    "n_fft = 32\npn_len = 128\ndual_pn = false")
 
     @pytest.mark.parametrize("command", ["simulate", "criterion"])
-    def test_block_shorter_than_the_fold_exits_2(self, tmp_path, capsys, command):
-        # a 32-symbol block under a single 128-chip guard: the burst folds
-        # 42 symbols into each block from either side
+    def test_block_shorter_than_the_response_runs(self, tmp_path, command):
+        # a 32-symbol block under a single 128-chip guard: the phase's
+        # response is longer than the block and wraps onto it
         path = tmp_path / "short.cfg"
         path.write_text(MINIMAL.replace(*self.SHORT_BLOCK))
         out = tmp_path / "x.csv"
         rc = main([command, "--config", str(path), "--ebn0", "8", "--out", str(out)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: [frame] n_fft = 32 ")
-        assert not out.exists()
+        assert rc in (0, 3)
+        assert out.read_text().splitlines()[0] == CSV_HEADER
 
     def test_block_shorter_than_the_fold_still_tracks(self, tmp_path):
-        # the timing loop never folds, so the short block is no error there
+        # nor is the short block an error for the timing loop
         path = tmp_path / "short.cfg"
         path.write_text(MINIMAL.replace(*self.SHORT_BLOCK))
         out = tmp_path / "x.csv"
@@ -605,3 +611,45 @@ class TestCli:
         )
         assert rc == 0
         assert ",qam64," in out.read_text().splitlines()[1]
+
+
+def capped(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` at a unit test's budget: n_fft at most 256, one burst of at
+    most 4 frames, one Eb/N0 and at most 8 phases."""
+    frames = min(cfg.mc.frames_per_burst, 4)
+    grid = cfg.phase_grid
+    return dataclasses.replace(
+        cfg,
+        frame=dataclasses.replace(cfg.frame, n_fft=min(cfg.frame.n_fft, 256)),
+        phase_grid=grid and default_phase_grid(min(grid.phases.size, 8)),
+        ebn0_sweep=cfg.ebn0_sweep[:1],
+        mc=dataclasses.replace(cfg.mc, frames_per_burst=frames, max_frames=frames),
+        criterion=dataclasses.replace(cfg.criterion,
+                                      grid_size=min(cfg.criterion.grid_size, 8)),
+    )
+
+
+class TestModelEdges:
+    @given(cfg=scenarios())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_runners_return_rates_or_refuse(self, cfg):
+        # every runner returns rates in [0, 1] (the timing loop a finite
+        # phase) or refuses the scenario with a ValueError, ConfigError
+        # among them; any other exception fails
+        cfg = capped(cfg)
+        runs = [
+            lambda: run_theory(cfg).points,
+            lambda: run_mc_ber(cfg).points,
+            lambda: run_criterion(cfg).csv_points(),
+        ]
+        for run in runs:
+            try:
+                points = run()
+            except ValueError:
+                continue
+            assert all(0.0 <= p.ser <= 1.0 and 0.0 <= p.ber <= 1.0 for p in points)
+        try:
+            state = run_str_baseline(cfg, n_frames=4)
+        except ValueError:
+            return
+        assert math.isfinite(state.epsilon_hat)
