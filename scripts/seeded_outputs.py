@@ -8,6 +8,15 @@ for bit:
     python scripts/seeded_outputs.py dump src after.pkl
     python scripts/seeded_outputs.py compare before.pkl after.pkl
 
+or in one step against a git revision (default ``HEAD``):
+
+    python scripts/seeded_outputs.py check [REV]
+
+``check`` checks REV out into a temporary ``git worktree``, dumps its
+``src/`` and the working tree's ``src/``, each in its own interpreter,
+prints what ``compare`` prints and exits 1 on any difference; it removes
+the worktree however the run ends.
+
 The check set covers every Monte-Carlo caller at small budgets:
 ``run_mc_ber`` point counts (known and estimated equalizer, multipath,
 single and dual PN, AWGN qam256 and bpsk, the benchmark's N = 1024
@@ -33,6 +42,7 @@ pickles.
 
 import json
 import pickle
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -272,6 +282,26 @@ def compare(path_a: str, path_b: str) -> int:
     return 1 if differ else 0
 
 
+def check(rev: str = "HEAD") -> int:
+    """Compare the seeded outputs of ``rev`` with the working tree's."""
+    git = ["git", "-C", str(ROOT), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        tree = tmp / "tree"
+        try:
+            subprocess.run(git + ["add", "--detach", str(tree), rev], check=True)
+            for src, out in ((tree / "src", tmp / "before.pkl"),
+                             (ROOT / "src", tmp / "after.pkl")):
+                subprocess.run([sys.executable, __file__, "dump", str(src), str(out)],
+                               check=True)
+        except subprocess.CalledProcessError as exc:
+            print(f"check: {' '.join(exc.cmd)} exited {exc.returncode}", file=sys.stderr)
+            return 1
+        finally:
+            subprocess.run(git + ["remove", "--force", str(tree)], capture_output=True)
+        return compare(tmp / "before.pkl", tmp / "after.pkl")
+
+
 def numbers(a) -> np.ndarray:
     """Every number of a nested dump, flattened in order (booleans too)."""
     if isinstance(a, dict):
@@ -289,5 +319,7 @@ if __name__ == "__main__":
         dump(sys.argv[2], sys.argv[3])
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
+    elif len(sys.argv) in (2, 3) and sys.argv[1] == "check":
+        sys.exit(check(*sys.argv[2:]))
     else:
         sys.exit(__doc__)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .channel import EquivResponse
 from .dsp import qfunc
+from .frame import _LEVELS
 
 __all__ = [
     "CriterionResult",
@@ -31,9 +32,6 @@ __all__ = [
     "theoretical_ber",
     "theoretical_ser",
 ]
-
-# PAM levels per quadrature axis: BPSK is 2-level PAM, square M-QAM sqrt(M)
-_LEVELS = {2: 2, 16: 4, 64: 8, 256: 16}
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,6 @@ class CriterionResult:
     phases: np.ndarray
     objective: np.ndarray
     band: tuple[int, int]
-    objective_exp: np.ndarray | None = None
 
 
 def _argbest(phases: np.ndarray, objective: np.ndarray, maximize: bool) -> float:
@@ -155,55 +152,35 @@ def _argbest(phases: np.ndarray, objective: np.ndarray, maximize: bool) -> float
     return float(candidates[order[0]])
 
 
-def awgn_phase_criterion(
-    alpha: float,
-    n_fft: int,
-    grid: PhaseGrid,
-    ebn0_db: float,
-    order: int,
-) -> CriterionResult:
-    """Ideal-channel phase rule on the roll-off band.
+def awgn_phase_criterion(alpha: float, n_fft: int, grid: PhaseGrid) -> CriterionResult:
+    """Ideal-channel phase rule on the roll-off band, in closed form.
 
-    For each grid phase the trigonometric band objective
-    sum_n cos^2(pi eps) + sin^2(pi eps) sin^2((pi/alpha)(0.5 - n/N))
-    is maximized; the equivalent exponential-surrogate objective (to be
-    minimized) is evaluated alongside and recorded.
+    Over an ideal channel the band's subcarriers have
+    |H_n|^2 = cos^2(pi eps) + sin^2(pi eps) sin^2((pi/alpha)(0.5 - n/N))
+    (:func:`~tdslink.channel.awgn_response`), so the band power is
+    n_band cos^2(pi eps) + S sin^2(pi eps), S the band's sum of the
+    second sine squared; it is maximized over the grid.
     """
     n_lo, n_hi = rolloff_band(n_fft, alpha)
     f_band = np.arange(n_lo, n_hi + 1) / n_fft
-    sin_sq = np.sin(np.pi / alpha * (0.5 - f_band)) ** 2
-    _, coeff = _qam_params(order)
-    eta = coeff * 10.0 ** (ebn0_db / 10.0)
-
-    objective = np.empty(len(grid))
-    objective_exp = np.empty(len(grid))
-    for i, eps in enumerate(grid.phases):
-        gains = math.cos(math.pi * eps) ** 2 + sin_sq * math.sin(math.pi * eps) ** 2
-        objective[i] = np.sum(gains)
-        objective_exp[i] = np.sum(np.exp(-gains * eta))
-    chosen = _argbest(grid.phases, objective, maximize=True)
+    s = np.sum(np.sin(np.pi / alpha * (0.5 - f_band)) ** 2)
+    eps = grid.phases
+    objective = f_band.size * np.cos(np.pi * eps) ** 2 + s * np.sin(np.pi * eps) ** 2
+    chosen = _argbest(eps, objective, maximize=True)
     return CriterionResult(
-        chosen=chosen,
-        phases=grid.phases.copy(),
-        objective=objective,
-        band=(n_lo, n_hi),
-        objective_exp=objective_exp,
+        chosen=chosen, phases=eps.copy(), objective=objective, band=(n_lo, n_hi)
     )
 
 
 def band_power_criterion(
-    responses: Mapping[float, EquivResponse] | Sequence[tuple[float, EquivResponse]],
-    alpha: float,
-    n_fft: int,
+    responses: Mapping[float, EquivResponse], alpha: float, n_fft: int
 ) -> CriterionResult:
     """General phase rule: maximize roll-off-band power sum_n |H_n|^2.
 
-    Works on any channel given the per-phase equivalent responses
-    (analytic or PN-estimated); ties resolve toward the smallest |phase|.
+    Works on any channel given each phase's equivalent response, keyed by
+    phase (analytic or PN-estimated); ties resolve toward the smallest |phase|.
     """
-    items = sorted(
-        responses.items() if isinstance(responses, Mapping) else responses
-    )
+    items = sorted(responses.items())
     if not items:
         raise ValueError("no responses supplied")
     n_lo, n_hi = rolloff_band(n_fft, alpha)

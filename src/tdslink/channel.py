@@ -125,9 +125,6 @@ class EquivResponse:
     """Per-subcarrier complex gains of the equivalent symbol-rate channel."""
 
     h: np.ndarray
-    epsilon: float
-    alpha: float
-    profile_name: str = ""
 
     @property
     def n_fft(self) -> int:
@@ -149,7 +146,6 @@ class ImageSum:
     """
 
     def __init__(self, profile: ChannelProfile, alpha: float, n_fft: int):
-        self.alpha, self.profile_name = alpha, profile.name
         f = np.arange(n_fft) / n_fft
         self.images = []
         for k in range(-2, 3):
@@ -161,7 +157,7 @@ class ImageSum:
     def response(self, epsilon: float) -> EquivResponse:
         """Equivalent response at phase ``epsilon``."""
         h = sum(term * np.exp(2j * np.pi * fk * epsilon) for fk, term in self.images)
-        return EquivResponse(h, epsilon, self.alpha, self.profile_name)
+        return EquivResponse(h)
 
 
 def equivalent_response(
@@ -248,12 +244,7 @@ def estimate_response_from_pn(
     """
     est = _pn_ls_estimate(guard_windows, ref)
     magsq = _interp_bins(np.abs(est) ** 2, n_fft)
-    return EquivResponse(
-        h=np.sqrt(magsq).astype(np.complex128),
-        epsilon=math.nan,
-        alpha=math.nan,
-        profile_name="pn-estimate",
-    )
+    return EquivResponse(np.sqrt(magsq).astype(np.complex128))
 
 
 def estimate_complex_response_from_pn(

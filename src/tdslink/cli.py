@@ -29,7 +29,6 @@ from .config import (
 from .montecarlo import (
     _STR_FRAMES,
     CSV_HEADER,
-    BerCurve,
     _responses,
     run_criterion,
     run_mc_ber,
@@ -120,10 +119,6 @@ def _write_output(
     print(f"wrote {out_path} ({len(rows)} rows)")
 
 
-def _curve_rows(curve: BerCurve) -> list[str]:
-    return [p.csv_row() for p in curve.points]
-
-
 def _grid_phases(cfg: ScenarioConfig) -> list[float]:
     if cfg.phase_grid is not None:
         return [float(e) for e in cfg.phase_grid.phases]
@@ -132,7 +127,7 @@ def _grid_phases(cfg: ScenarioConfig) -> list[float]:
 
 def _cmd_theory(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
     curve = run_theory(cfg, epsilons=_grid_phases(cfg), include_chernoff=args.chernoff)
-    return _curve_rows(curve), {"wall_time_s": curve.wall_time_s}, False
+    return [p.csv_row() for p in curve.points], {"wall_time_s": curve.wall_time_s}, False
 
 
 def _cmd_simulate(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
@@ -141,7 +136,7 @@ def _cmd_simulate(cfg: ScenarioConfig, args) -> tuple[list[str], dict, bool]:
     wall = 0.0
     for p_idx, eps in enumerate(_grid_phases(cfg)):
         curve = run_mc_ber(cfg, epsilon=eps, phase_index=p_idx)
-        rows.extend(_curve_rows(curve))
+        rows.extend(p.csv_row() for p in curve.points)
         flagged |= curve.flagged
         wall += curve.wall_time_s
     return rows, {"wall_time_s": wall}, flagged

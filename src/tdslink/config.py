@@ -139,25 +139,21 @@ class ScenarioConfig:
         return default_phase_grid(self.criterion.grid_size)
 
     def describe(self) -> dict:
-        """JSON-friendly resolved view, the basis of the fingerprint."""
-        return {
-            "frame": asdict(self.frame),
-            "srrc_span": self.srrc_span,
-            "channel": {
+        """JSON-friendly resolved view, the basis of the fingerprint: every
+        field, with the channel, the phase grid and the sweep as plain lists."""
+        out = asdict(self)
+        out.update(
+            channel={
                 "name": self.channel.name,
                 "delays": list(map(float, self.channel.delays)),
                 "gains": [[g.real, g.imag] for g in self.channel.gains],
             },
-            "epsilon": self.epsilon,
-            "phase_grid": None
+            phase_grid=None
             if self.phase_grid is None
             else list(map(float, self.phase_grid.phases)),
-            "ebn0_sweep": list(self.ebn0_sweep),
-            "reference_ebn0": self.reference_ebn0,
-            "mc": asdict(self.mc),
-            "seed": self.seed,
-            "criterion": asdict(self.criterion),
-        }
+            ebn0_sweep=list(self.ebn0_sweep),
+        )
+        return out
 
 
 def scenario_fingerprint(cfg: ScenarioConfig) -> str:

@@ -48,10 +48,6 @@ class SrrcSpec:
         if self.samples_per_symbol < 2:
             raise ValueError("need at least 2 samples per symbol")
 
-    @property
-    def n_taps(self) -> int:
-        return 2 * self.span_symbols * self.samples_per_symbol + 1
-
 
 def raised_cosine_response(f, alpha: float):
     """Combined transmit/receive SRRC magnitude response (a raised cosine).

@@ -116,7 +116,7 @@ class Constellation:
 
     @property
     def levels_per_axis(self) -> int:
-        return int(round(math.sqrt(self.order)))
+        return _LEVELS[self.order]
 
     @cached_property
     def _axis_slicer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,6 +143,8 @@ class Constellation:
 
 
 _MODULATION_ORDERS = {"bpsk": 2, "qam16": 16, "qam64": 64, "qam256": 256}
+# PAM levels per quadrature axis: BPSK is 2-level PAM, square M-QAM sqrt(M)
+_LEVELS = {2: 2, 16: 4, 64: 8, 256: 16}
 
 
 def make_constellation(name: str) -> Constellation:
@@ -162,7 +164,7 @@ def _constellation(key: str) -> Constellation:
         points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
         points.flags.writeable = False
         return Constellation(name=key, order=2, points=points)
-    kappa = int(round(math.sqrt(order)))
+    kappa = _LEVELS[order]
     axis_bits = int(round(math.log2(kappa)))
     scale = math.sqrt(2.0 * (order - 1) / 3.0)
     points = np.empty(order, dtype=np.complex128)

@@ -42,6 +42,7 @@ import numpy as np
 from .analysis import (
     CriterionResult,
     PhaseGrid,
+    _argbest,
     band_power_criterion,
     chernoff_objective,
     theoretical_ber,
@@ -487,10 +488,7 @@ def _grid_search(chain: _Chain, grid: PhaseGrid) -> tuple[float, dict[float, Ber
     for p_idx, eps in enumerate(grid.phases):
         results[float(eps)] = _run_point(chain, float(eps), ref, e_idx, 1 + p_idx)
     bers = np.array([results[float(e)].ber for e in grid.phases])
-    best = bers.min()
-    cand = grid.phases[bers == best]
-    order = np.lexsort((cand, np.abs(cand)))
-    return float(cand[order[0]]), results
+    return _argbest(grid.phases, bers, maximize=False), results
 
 
 def run_str_baseline(

@@ -22,6 +22,7 @@ from tdslink.analysis import (
 from tdslink.channel import (
     AWGN_PROFILE,
     ChannelProfile,
+    EquivResponse,
     awgn_response,
     equivalent_response,
     load_profile,
@@ -227,7 +228,7 @@ def test_criterion_6_phase_criteria_pick_zero_on_ideal_channel():
     """Both selection rules return exactly phase 0 on the default
     128-point grid over an ideal channel."""
     grid = default_phase_grid(128)
-    trig = awgn_phase_criterion(ALPHA, 4096, grid, 10.0, 16)
+    trig = awgn_phase_criterion(ALPHA, 4096, grid)
     responses = {
         float(e): equivalent_response(AWGN_PROFILE, ALPHA, float(e), 1024)
         for e in grid.phases
@@ -333,10 +334,7 @@ def test_criterion_8_invariant_suite():
         for e in grid.phases
     }
     base = band_power_criterion(responses, ALPHA, 256).chosen
-    scaled = {
-        eps: type(r)(h=5.0 * r.h, epsilon=r.epsilon, alpha=r.alpha)
-        for eps, r in responses.items()
-    }
+    scaled = {eps: EquivResponse(5.0 * r.h) for eps, r in responses.items()}
     checks["argmax_scaling"] = (
         band_power_criterion(scaled, ALPHA, 256).chosen == base
     )

@@ -16,7 +16,12 @@ from tdslink.analysis import (
     theoretical_ber,
     theoretical_ser,
 )
-from tdslink.channel import AWGN_PROFILE, ChannelProfile, equivalent_response
+from tdslink.channel import (
+    AWGN_PROFILE,
+    ChannelProfile,
+    EquivResponse,
+    equivalent_response,
+)
 from tdslink.dsp import qfunc, raised_cosine_response
 
 ALPHA = 0.05
@@ -155,23 +160,32 @@ class TestPhaseGrid:
 
 class TestAwgnCriterion:
     def test_grid_with_zero_selects_zero(self):
-        result = awgn_phase_criterion(ALPHA, 4096, default_phase_grid(128), 10.0, 16)
+        result = awgn_phase_criterion(ALPHA, 4096, default_phase_grid(128))
         assert result.chosen == 0.0
         assert result.band == (1946, 2150)
 
     def test_exponential_form_agrees_at_zero(self):
-        result = awgn_phase_criterion(ALPHA, 1024, default_phase_grid(64), 10.0, 16)
+        # the exponential surrogate over the roll-off band is smallest where
+        # the band power is largest
+        grid = default_phase_grid(64)
+        result = awgn_phase_criterion(ALPHA, 1024, grid)
+        n_lo, n_hi = result.band
+        surrogate = [
+            chernoff_objective(r.h[n_lo : n_hi + 1], 10.0, 16)
+            for r in (equivalent_response(AWGN_PROFILE, ALPHA, float(e), 1024)
+                      for e in grid.phases)
+        ]
         assert result.chosen == 0.0
-        assert result.phases[np.argmin(result.objective_exp)] == 0.0
+        assert grid.phases[int(np.argmin(surrogate))] == 0.0
 
     def test_degenerate_grid(self):
         grid = PhaseGrid(np.array([0.3]))
-        result = awgn_phase_criterion(ALPHA, 1024, grid, 10.0, 16)
+        result = awgn_phase_criterion(ALPHA, 1024, grid)
         assert result.chosen == 0.3
 
     def test_objective_even_in_phase(self):
         grid = default_phase_grid(32)
-        result = awgn_phase_criterion(ALPHA, 1024, grid, 10.0, 16)
+        result = awgn_phase_criterion(ALPHA, 1024, grid)
         phases = result.phases
         for i, eps in enumerate(phases):
             if eps > 0 and -eps in phases:
@@ -215,10 +229,7 @@ class TestBandPowerCriterion:
             for e in grid.phases
         }
         base = band_power_criterion(responses, ALPHA, 256)
-        scaled = {
-            eps: type(r)(h=3.7 * r.h, epsilon=r.epsilon, alpha=r.alpha)
-            for eps, r in responses.items()
-        }
+        scaled = {eps: EquivResponse(3.7 * r.h) for eps, r in responses.items()}
         again = band_power_criterion(scaled, ALPHA, 256)
         assert again.chosen == base.chosen
 
@@ -243,19 +254,19 @@ class TestBandPowerCriterion:
             for e in grid.phases
         }
         general = band_power_criterion(responses, ALPHA, 1024)
-        trig = awgn_phase_criterion(ALPHA, 1024, grid, 10.0, 16)
+        trig = awgn_phase_criterion(ALPHA, 1024, grid)
         assert np.allclose(general.objective, trig.objective, atol=1e-9)
 
     def test_tie_breaks_toward_smallest_magnitude(self):
         flat = equivalent_response(AWGN_PROFILE, ALPHA, 0.0, 256)
-        responses = [(-0.25, flat), (0.1, flat), (0.25, flat)]
+        responses = {-0.25: flat, 0.1: flat, 0.25: flat}
         result = band_power_criterion(responses, ALPHA, 256)
         assert result.chosen == 0.1
 
     def test_empty_band_rejected(self):
         flat = equivalent_response(AWGN_PROFILE, ALPHA, 0.0, 5)
         with pytest.raises(ValueError):
-            band_power_criterion([(0.0, flat)], 0.05, 5)
+            band_power_criterion({0.0: flat}, 0.05, 5)
 
 
 class TestChernoffPhaseOrdering:

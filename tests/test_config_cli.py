@@ -483,6 +483,65 @@ class TestCli:
             assert capsys.readouterr().err.startswith(f"config error: {path}: ")
             assert not out.exists()
 
+    @pytest.mark.parametrize("text, match", [
+        ("[mc]\nmin_bits = 0", "[mc] min_bits and min_errors must be positive"),
+        ("[mc]\nmin_errors = 0", "[mc] min_bits and min_errors must be positive"),
+        ("[mc]\nframes_per_burst = 8\nmax_frames = 4", "[mc] max_frames"),
+        ("[mc]\nchunk_bursts = 0", "[mc] chunk_bursts"),
+        ("[criterion]\ngrid = 0", "[criterion] criterion grid size"),
+        ("[criterion]\nestimator = foo", "[criterion] criterion estimator"),
+        ("[criterion]\nwith_str = maybe", "[criterion] with_str"),
+        ("[sweep]\nebn0_db = ,", "[sweep] ebn0_db"),
+        ("[mc]\nno equals sign", "'no equals sign"),  # named by its line
+        ("[frame]\npn_len = 8", "[frame] guard PN length"),
+        ("[frame]\nalpha = 0", "[frame] roll-off"),
+        ("[frame]\nn_upsam = 1", "[frame] upsampling factor"),
+        ("[channel]\nprofile = silent.txt", "[channel] profile: profile has no power"),
+    ])
+    def test_bad_file_value_exits_2_naming_it(self, tmp_path, capsys, text, match):
+        (tmp_path / "silent.txt").write_text("0.0 0.0 0.0\n1.0 0.0 0.0\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        out = tmp_path / "x.csv"
+        rc = main(["theory", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ")
+        assert match in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, rows_per_phase", [
+        ("theory", 1), ("simulate", 1), ("response", 256)])
+    def test_phase_grid_writes_one_block_per_phase(self, tmp_path, command,
+                                                   rows_per_phase):
+        path = tmp_path / "grid.cfg"
+        path.write_text(MINIMAL + "\n[phase]\ngrid = 4\n")
+        out = tmp_path / "x.csv"
+        rc = main([command, "--config", str(path), "--ebn0", "8", "--out", str(out)])
+        assert rc == 0
+        phases = [float(r.split(",")[1]) for r in out.read_text().strip().splitlines()[1:]]
+        assert phases == [eps for eps in (-0.5, -0.25, 0.0, 0.25)
+                          for _ in range(rows_per_phase)]
+
+    def test_criterion_with_oracle(self, tmp_path, capsys):
+        # the benchmark's criterion operation: every point stops at
+        # max_frames, so the run is flagged
+        path = tmp_path / "oracle.cfg"
+        path.write_text(
+            MINIMAL.replace("min_bits = 20000", "min_bits = 1000000000")
+            .replace("max_frames = 400", "max_frames = 4")
+            + "\n[criterion]\ngrid = 8\nestimator = pn\nwith_oracle = true\n"
+        )
+        out = tmp_path / "crit.csv"
+        rc = main(["criterion", "--config", str(path), "--out", str(out)])
+        assert rc == 3
+        rows = out.read_text().strip().splitlines()
+        assert rows[0] == CSV_HEADER
+        assert len(rows) == 1 + 2 + 8  # chosen, timing loop, oracle grid
+        sidecar = json.loads(Path(str(out) + ".json").read_text())
+        assert sidecar["oracle_phase"] in sidecar["grid"]
+        assert f"grid-search phase: {sidecar['oracle_phase']:+.6f}" in capsys.readouterr().out
+
     SHORT_BLOCK = ("n_fft = 256\npn_len = 64\ndual_pn = true",
                    "n_fft = 32\npn_len = 128\ndual_pn = false")
 
@@ -634,8 +693,8 @@ class TestModelEdges:
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_runners_return_rates_or_refuse(self, cfg):
         # every runner returns rates in [0, 1] (the timing loop a finite
-        # phase) or refuses the scenario with a ValueError, ConfigError
-        # among them; any other exception fails
+        # phase) or refuses the scenario with a ConfigError; any other
+        # exception, a numpy ValueError among them, fails
         cfg = capped(cfg)
         runs = [
             lambda: run_theory(cfg).points,
@@ -645,11 +704,28 @@ class TestModelEdges:
         for run in runs:
             try:
                 points = run()
-            except ValueError:
+            except ConfigError:
                 continue
             assert all(0.0 <= p.ser <= 1.0 and 0.0 <= p.ber <= 1.0 for p in points)
         try:
             state = run_str_baseline(cfg, n_frames=4)
-        except ValueError:
+        except ConfigError:
             return
         assert math.isfinite(state.epsilon_hat)
+
+    @given(cfg=scenarios())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_commands_exit_0_2_or_3(self, cfg):
+        # the same scenarios written to a file and run through the CLI
+        headers = {"theory": CSV_HEADER, "simulate": CSV_HEADER, "criterion": CSV_HEADER,
+                   "response": "f,epsilon,magnitude",
+                   "str-baseline": "frame,timing_error,phase_estimate"}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_scenario(capped(cfg).describe(), Path(tmp))
+            for command, header in headers.items():
+                out = Path(tmp) / f"{command}.csv"
+                extra = ["--frames", "4"] if command == "str-baseline" else []
+                rc = main([command, "--config", str(path), "--out", str(out), *extra])
+                assert rc in (0, 2, 3), command
+                if rc != 2:
+                    assert out.read_text().splitlines()[0] == header

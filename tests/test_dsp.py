@@ -89,8 +89,7 @@ class TestSrrcTaps:
         assert np.sum(taps**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_odd_length(self):
-        spec = SrrcSpec(ALPHA, 16, 4)
-        assert srrc_taps(spec).size == 2 * 16 * 4 + 1 == spec.n_taps
+        assert srrc_taps(SrrcSpec(ALPHA, 16, 4)).size == 2 * 16 * 4 + 1
 
     @pytest.mark.parametrize("span,tol", [(32, 1.2e-3), (48, 1e-3)])
     def test_spectrum_matches_analytic_root_response(self, span, tol):

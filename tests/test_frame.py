@@ -126,6 +126,11 @@ class TestConstellations:
                     other = int(matches[0])
                     assert bin(label ^ other).count("1") == 1
 
+    @pytest.mark.parametrize("name", ["bpsk", "qam16", "qam64", "qam256"])
+    def test_levels_per_axis_counts_the_axis_levels(self, name):
+        const = make_constellation(name)
+        assert const.levels_per_axis == np.unique(const.points.real).size
+
     def test_16qam_labels_distinct_unit_power(self):
         const = make_constellation("qam16")
         syms = const.points[np.arange(16)]
