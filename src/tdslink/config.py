@@ -54,17 +54,18 @@ class McConfig:
     equalizer: str = "known"
 
     def __post_init__(self):
-        if self.min_bits < 1 or self.min_errors < 1:
-            raise ConfigError("min_bits and min_errors must be positive")
-        if self.frames_per_burst < 1:
-            raise ConfigError("frames_per_burst must be positive")
+        # each message names its field first, as load_scenario expects
+        for name in ("min_bits", "min_errors", "frames_per_burst", "chunk_bursts"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.max_frames < self.frames_per_burst:
-            raise ConfigError("max_frames must cover at least one burst")
-        if self.chunk_bursts < 1:
-            raise ConfigError("chunk_bursts must be positive")
+            raise ConfigError(
+                f"max_frames: must cover at least one burst of {self.frames_per_burst} "
+                f"frames, got {self.max_frames}"
+            )
         if self.equalizer not in ("known", "estimated"):
             raise ConfigError(
-                f"equalizer must be 'known' or 'estimated', got {self.equalizer!r}"
+                f"equalizer: must be 'known' or 'estimated', got {self.equalizer!r}"
             )
 
 
@@ -79,9 +80,11 @@ class CriterionOptions:
 
     def __post_init__(self):
         if self.grid_size < 1:
-            raise ConfigError("criterion grid size must be positive")
+            raise ConfigError(f"grid_size: must be positive, got {self.grid_size}")
         if self.estimator not in ("analytic", "pn"):
-            raise ConfigError("criterion estimator must be 'analytic' or 'pn'")
+            raise ConfigError(
+                f"estimator: must be 'analytic' or 'pn', got {self.estimator!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -250,6 +253,9 @@ _SCHEMA = {
     },
 }
 _NESTED = {"frame": FrameConfig, "mc": McConfig, "criterion": CriterionOptions}
+# [section] -> field -> file key, to name a nested dataclass's bad field
+_FILE_KEY = {section: {name: key for key, (name, _) in keys.items()}
+             for section, keys in _SCHEMA.items()}
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -295,7 +301,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         try:
             nested[section] = cls(**kwargs.pop(section))
         except ValueError as exc:
-            raise ConfigError(f"{path}: [{section}] {exc}") from exc
+            # the dataclasses name the bad field first, "field: problem"
+            name, _, problem = str(exc).partition(": ")
+            message = f"{_FILE_KEY[section].get(name, name)}: {problem}" if problem else exc
+            raise ConfigError(f"{path}: [{section}] {message}") from exc
     fields = {k: v for values in kwargs.values() for k, v in values.items()}
     try:
         return ScenarioConfig(**nested, **fields)

@@ -119,27 +119,29 @@ class Constellation:
         return _LEVELS[self.order]
 
     @cached_property
-    def _axis_slicer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-axis decision tables of a square QAM constellation.
+    def _axis_bounds(self) -> np.ndarray:
+        """Per-axis decision table of a square QAM constellation: a
+        coordinate decides a level above ``p`` exactly when it exceeds
+        ``bound[p]``.
 
-        ``sums[p]`` is the rounded sum of the coordinates of levels ``p``
-        and ``p + 1``, so twice a coordinate compares with it exactly.
-        Where twice the coordinate equals ``sums[p]``, ``up[p]`` says
-        whether the exact nearest level is ``p + 1``: the exact midpoint
-        lies below, or it is the midpoint and level ``p + 1`` has the
-        lower axis label.  ``code[p]`` is the Gray axis label of level
-        ``p``.  A +inf sentinel ends ``sums``.
+        ``bound[p]`` is the largest float whose nearest level is ``p`` or
+        below: the exact midpoint of levels ``p`` and ``p + 1`` rounded
+        down, or one float below it when the midpoint is a float and
+        level ``p + 1`` has the lower Gray axis label.  A +inf sentinel
+        ends the table.
         """
         kappa = self.levels_per_axis
         code = np.arange(kappa) ^ (np.arange(kappa) >> 1)
         axis_bits = self.bits_per_symbol // 2
         lev = self.points[code << axis_bits].real  # in-phase level values
-        sums = np.append(lev[:-1] + lev[1:], np.inf)
-        up = np.zeros(kappa, dtype=bool)
+        bound = np.full(kappa, np.inf)
         for p in range(kappa - 1):
-            rest = Fraction(lev[p]) + Fraction(lev[p + 1]) - Fraction(sums[p])
-            up[p] = rest < 0 or (rest == 0 and code[p + 1] < code[p])
-        return sums, up, code
+            mid = (Fraction(lev[p]) + Fraction(lev[p + 1])) / 2
+            b = float(mid)
+            if Fraction(b) > mid or (Fraction(b) == mid and code[p + 1] < code[p]):
+                b = np.nextafter(b, -np.inf)
+            bound[p] = b
+        return bound
 
 
 _MODULATION_ORDERS = {"bpsk": 2, "qam16": 16, "qam64": 64, "qam256": 256}
@@ -156,6 +158,12 @@ def make_constellation(name: str) -> Constellation:
     return _constellation(key)
 
 
+def _axis_scale(order: int) -> float:
+    """The divisor that gives square QAM unit average energy: level p of
+    an axis sits at (2p - (sqrt(order) - 1)) / scale."""
+    return math.sqrt(2.0 * (order - 1) / 3.0)
+
+
 @cache
 def _constellation(key: str) -> Constellation:
     order = _MODULATION_ORDERS[key]
@@ -166,7 +174,7 @@ def _constellation(key: str) -> Constellation:
         return Constellation(name=key, order=2, points=points)
     kappa = _LEVELS[order]
     axis_bits = int(round(math.log2(kappa)))
-    scale = math.sqrt(2.0 * (order - 1) / 3.0)
+    scale = _axis_scale(order)
     points = np.empty(order, dtype=np.complex128)
     for label in range(order):
         i_label = label >> axis_bits
@@ -184,23 +192,43 @@ def detect_labels(symbols: np.ndarray, constellation: Constellation) -> np.ndarr
     BPSK is a sign test on the real part.  Square QAM is sliced one axis
     at a time: the squared distance splits into an in-phase and a
     quadrature term, so the nearest point pairs the nearest Gray PAM
-    level of each axis.  Decisions are exact for the floating-point
-    input; a symbol exactly equidistant from several points goes to the
-    lowest label, i.e. the lower axis label on each tied axis.
+    level of each axis.  Each axis level is first estimated by
+    arithmetic, at most one below the exact level, then made exact by
+    one comparison with the midpoint table.  Decisions are exact for the
+    floating-point input (+-inf goes to the outer levels); a symbol
+    exactly equidistant from several points goes to the lowest label,
+    i.e. the lower axis label on each tied axis.  NaN raises ValueError.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if constellation.order == 2:
+        if np.isnan(np.max(symbols.real, initial=0.0)):
+            raise ValueError("cannot slice symbols that are not finite: NaN found")
         return (symbols.real < 0).astype(np.int64)
-    sums, up, code = constellation._axis_slicer
+    kappa = constellation.levels_per_axis
+    bound = constellation._axis_bounds
+    half_scale = _axis_scale(constellation.order) / 2
 
     def axis(x: np.ndarray) -> np.ndarray:
-        x2 = 2.0 * x
-        level = np.searchsorted(sums, x2)
-        level += (sums[level] == x2) & up[level]
-        return code[level]
+        # level p sits where x * scale / 2 + (kappa - 1) / 2 = p, so the
+        # exact level is that position rounded and clipped; the position
+        # clipped and truncated is the exact level or one below, with half
+        # a level of margin for rounding error on either side
+        est = x * half_scale
+        est += (kappa - 1) / 2
+        np.clip(est, 0, kappa - 1, out=est)
+        if np.isnan(est.sum()):
+            raise ValueError("cannot slice symbols that are not finite: NaN found")
+        level = est.astype(np.intp)
+        level += bound.take(level, out=est, mode="clip") < x  # clip: no copy
+        del est  # released before the Gray step allocates
+        level ^= level >> 1  # Gray axis label
+        return level
 
-    axis_bits = constellation.bits_per_symbol // 2
-    return (axis(symbols.real) << axis_bits) | axis(symbols.imag)
+    flat = symbols.reshape(-1)
+    labels = axis(flat.real)
+    labels <<= constellation.bits_per_symbol // 2
+    labels |= axis(flat.imag)
+    return labels.reshape(symbols.shape)
 
 
 @dataclass(frozen=True)
@@ -219,19 +247,23 @@ class FrameConfig:
     pn_amplitude: float | None = None
 
     def __post_init__(self):
+        # each message names its field first: "field: problem"
         if self.n_fft < 2 or (self.n_fft & (self.n_fft - 1)):
-            raise ValueError(f"n_fft must be a power of two, got {self.n_fft}")
+            raise ValueError(f"n_fft: must be a power of two, got {self.n_fft}")
         if self.pn_len < 16:
-            raise ValueError("guard PN length must be at least 16")
+            raise ValueError(f"pn_len: guard PN length must be at least 16, got {self.pn_len}")
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"roll-off must be in (0, 1], got {self.alpha}")
+            raise ValueError(f"alpha: roll-off must be in (0, 1], got {self.alpha}")
         if self.n_upsam < 2:
-            raise ValueError("upsampling factor must be >= 2")
+            raise ValueError(f"n_upsam: upsampling factor must be >= 2, got {self.n_upsam}")
         if self.modulation.lower() not in _MODULATION_ORDERS:
-            raise ValueError(f"unknown modulation {self.modulation!r}")
+            raise ValueError(f"modulation: unknown modulation {self.modulation!r}")
         if self.pn_amplitude is not None and not self.pn_amplitude > 0:
-            raise ValueError(f"pn_amplitude must be positive, got {self.pn_amplitude}")
-        pn = generate_pn(self.pn_len, self.pn_poly, self.pn_seed)
+            raise ValueError(f"pn_amplitude: must be positive, got {self.pn_amplitude}")
+        try:
+            pn = generate_pn(self.pn_len, self.pn_poly, self.pn_seed)
+        except ValueError as exc:  # the seed must fit the generator's degree
+            raise ValueError(f"pn_poly, pn_seed: {exc}") from exc
         object.__setattr__(self, "pn", pn)
 
     @property

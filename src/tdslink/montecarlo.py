@@ -145,11 +145,29 @@ class _Chain:
         self.origin = self.pad * self.L + self.taps.size - 1
 
     def draw_labels(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
-        """Random (n_frames, N) symbol labels from MSB-first random bits."""
+        """Random (n_frames, N) symbol labels from MSB-first random bits.
+
+        The bits are those of ``rng.integers(0, 2, (n_frames, N * k),
+        dtype=np.int64)``, read straight from the bit generator's raw
+        stream: numpy (2.4.6) makes each such bit the top bit of one
+        32-bit output, and a 32-bit output is half of a 64-bit word, the
+        low half first.  N * k is even, so the raw draw leaves the
+        generator where ``integers`` leaves it.  The identity needs this
+        to be the generator's first draw, since an earlier 32-bit draw
+        can leave a half word for ``integers`` to use first; every caller
+        draws its labels from a fresh generator.
+        """
         k = self.k
-        bits = rng.integers(0, 2, size=(n_frames, self.N * k), dtype=np.int64)
-        weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-        return bits.reshape(n_frames, self.N, k) @ weights
+        words = rng.bit_generator.random_raw(n_frames * self.N * k // 2)
+        # little-endian words lay each low half before its high half
+        half = words.astype("<u8", copy=False).view("<u4").reshape(n_frames, self.N, k)
+        labels = half[..., 0] >> 31
+        bit = np.empty_like(labels)
+        for j in range(1, k):
+            labels <<= 1
+            labels |= np.right_shift(half[..., j], 31, out=bit)
+        del words, half  # release the words before the labels are widened
+        return labels.astype(np.intp)
 
     def draw_frames(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
         """The (n_frames, F) block of frames carrying :meth:`draw_labels`."""
@@ -284,7 +302,11 @@ class _Chain:
     def noise(self, rng: np.random.Generator, shape, ebn0_db: float) -> np.ndarray:
         """Circular complex Gaussian noise of variance :meth:`noise_var`."""
         sigma = math.sqrt(self.noise_var(ebn0_db) / 2.0)
-        return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        out = np.empty(shape, dtype=np.complex128)
+        # every real part is drawn, then every imaginary part
+        np.multiply(rng.standard_normal(out.shape), sigma, out=out.real)
+        np.multiply(rng.standard_normal(out.shape), sigma, out=out.imag)
+        return out
 
     def estimation_windows(self, rows: np.ndarray) -> np.ndarray:
         """Guard window of each frame row used for PN channel estimation
@@ -295,8 +317,11 @@ class _Chain:
 
 
 def _zf_equalize(Y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``Y / h`` in ``Y``'s buffer, zero where ``|h| < 1e-12``."""
     small = np.abs(h) < 1e-12
-    return np.where(small, 0.0, Y / np.where(small, 1.0, h))
+    Y /= np.where(small, 1.0, h)
+    Y[..., small] = 0.0
+    return Y
 
 
 def _simulate_burst(
@@ -327,15 +352,19 @@ def _simulate_burst(
     k, N = chain.k, chain.N
 
     tx_labels = chain.draw_labels(rng, n_frames)
-    X = chain.const.points[tx_labels]
     if h_eq is None:  # estimated-equalizer mode
-        frames = build_frames(X, chain.pn, chain.cfg.frame)
+        frames = build_frames(chain.const.points[tx_labels], chain.pn, chain.cfg.frame)
         rows = np.fft.ifft(np.fft.fft(frames.ravel()) * ring_h).reshape(frames.shape)
         windows = chain.estimation_windows(rows)
         windows = windows + chain.noise(rng, windows.shape, ebn0_db)
         h_eq = estimate_complex_response_from_pn(windows, chain.pn_dft, N)
 
-    Y = X * H + np.fft.fft(chain.noise(rng, (n_frames, N), ebn0_db), axis=1)
+    # the noise first, so that fewer blocks are held at once
+    Y = np.fft.fft(chain.noise(rng, (n_frames, N), ebn0_db), axis=1)
+    X = chain.const.points[tx_labels]
+    X *= H
+    Y += X
+    del X
     rx_labels = detect_labels(_zf_equalize(Y, h_eq), chain.const)
     diff = tx_labels ^ rx_labels
     # per-axis decisions: the in-phase half of the label, then the

@@ -484,18 +484,19 @@ class TestCli:
             assert not out.exists()
 
     @pytest.mark.parametrize("text, match", [
-        ("[mc]\nmin_bits = 0", "[mc] min_bits and min_errors must be positive"),
-        ("[mc]\nmin_errors = 0", "[mc] min_bits and min_errors must be positive"),
-        ("[mc]\nframes_per_burst = 8\nmax_frames = 4", "[mc] max_frames"),
-        ("[mc]\nchunk_bursts = 0", "[mc] chunk_bursts"),
-        ("[criterion]\ngrid = 0", "[criterion] criterion grid size"),
-        ("[criterion]\nestimator = foo", "[criterion] criterion estimator"),
-        ("[criterion]\nwith_str = maybe", "[criterion] with_str"),
-        ("[sweep]\nebn0_db = ,", "[sweep] ebn0_db"),
-        ("[mc]\nno equals sign", "'no equals sign"),  # named by its line
-        ("[frame]\npn_len = 8", "[frame] guard PN length"),
-        ("[frame]\nalpha = 0", "[frame] roll-off"),
-        ("[frame]\nn_upsam = 1", "[frame] upsampling factor"),
+        ("[mc]\nmin_bits = 0", "[mc] min_bits: must be positive"),
+        ("[mc]\nmin_errors = 0", "[mc] min_errors: must be positive"),
+        ("[mc]\nframes_per_burst = 8\nmax_frames = 4",
+         "[mc] max_frames: must cover at least one burst"),
+        ("[mc]\nchunk_bursts = 0", "[mc] chunk_bursts: must be positive"),
+        ("[criterion]\ngrid = 0", "[criterion] grid: must be positive"),
+        ("[criterion]\nestimator = foo", "[criterion] estimator: must be 'analytic' or 'pn'"),
+        ("[criterion]\nwith_str = maybe", "[criterion] with_str: expected a boolean"),
+        ("[sweep]\nebn0_db = ,", "[sweep] ebn0_db: empty list"),
+        ("[mc]\nno equals sign", "'no equals sign"),  # no key: named by its line
+        ("[frame]\npn_len = 8", "[frame] pn_len: guard PN length"),
+        ("[frame]\nalpha = 0", "[frame] alpha: roll-off"),
+        ("[frame]\nn_upsam = 1", "[frame] n_upsam: upsampling factor"),
         ("[channel]\nprofile = silent.txt", "[channel] profile: profile has no power"),
     ])
     def test_bad_file_value_exits_2_naming_it(self, tmp_path, capsys, text, match):
@@ -506,8 +507,11 @@ class TestCli:
         rc = main(["theory", "--config", str(path), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {path}: ")
-        assert match in err
+        if text.endswith("no equals sign"):
+            assert err.startswith(f"config error: {path}: ")
+            assert "[line  2]: 'no equals sign" in err
+        else:  # the key first, then the problem
+            assert err.startswith(f"config error: {path}: {match}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, rows_per_phase", [

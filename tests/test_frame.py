@@ -42,6 +42,50 @@ def _nearest_label(symbol: complex, points: np.ndarray) -> int:
     return d2.index(min(d2))
 
 
+def _searchsorted_labels(symbols: np.ndarray, const) -> np.ndarray:
+    """The slicer the arithmetic one replaced, kept as a reference: a
+    binary search of twice each coordinate in the rounded sums of adjacent
+    levels, ties settled by the exact sum; BPSK is the sign test."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if const.order == 2:
+        return (symbols.real < 0).astype(np.int64)
+    kappa = const.levels_per_axis
+    code = np.arange(kappa) ^ (np.arange(kappa) >> 1)
+    axis_bits = const.bits_per_symbol // 2
+    lev = const.points[code << axis_bits].real
+    sums = np.append(lev[:-1] + lev[1:], np.inf)
+    up = np.zeros(kappa, dtype=bool)
+    for p in range(kappa - 1):
+        rest = Fraction(lev[p]) + Fraction(lev[p + 1]) - Fraction(sums[p])
+        up[p] = rest < 0 or (rest == 0 and code[p + 1] < code[p])
+
+    def axis(x):
+        x2 = 2.0 * x
+        level = np.searchsorted(sums, x2)
+        level += (sums[level] == x2) & up[level]
+        return code[level]
+
+    return (axis(symbols.real) << axis_bits) | axis(symbols.imag)
+
+
+def _slicer_edges(const) -> list[float]:
+    """Every axis midpoint (half the rounded sum of adjacent levels) and
+    the floats on either side of it, plus +-inf and +-1e300."""
+    lev = np.unique(const.points.real)
+    mids = (lev[:-1] + lev[1:]) / 2
+    edges = [float(x) for m in mids
+             for x in (np.nextafter(m, -np.inf), m, np.nextafter(m, np.inf))]
+    return edges + [np.inf, -np.inf, 1e300, -1e300]
+
+
+def _complex_grid(re, im) -> np.ndarray:
+    # built part by part: complex arithmetic would turn inf into nan
+    z = np.empty((len(re), len(im)), dtype=np.complex128)
+    z.real = np.asarray(re)[:, None]
+    z.imag = np.asarray(im)[None, :]
+    return z
+
+
 class TestPnGeneration:
     def test_msequence_autocorrelation(self):
         pn = generate_pn(7, poly=0b1011, seed=0b001)
@@ -191,6 +235,43 @@ class TestConstellations:
                                    min_size=1, max_size=8))
         expected = [_nearest_label(s, const.points) for s in syms]
         assert detect_labels(np.array(syms), const).tolist() == expected
+
+    @pytest.mark.parametrize("name", ["bpsk", "qam16", "qam64", "qam256"])
+    def test_arithmetic_slicer_matches_searchsorted_at_every_edge(self, name):
+        const = make_constellation(name)
+        edges = _slicer_edges(const)
+        grid = _complex_grid(edges, edges)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(detect_labels(grid, const),
+                                  _searchsorted_labels(grid, const))
+
+    @pytest.mark.parametrize("name", ["bpsk", "qam16", "qam64", "qam256"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_slicer_matches_searchsorted(self, name, data):
+        const = make_constellation(name)
+        lev = np.unique(const.points.real)
+        coordinate = st.one_of(
+            st.sampled_from(_slicer_edges(const)),
+            st.floats(lev[0] - 1.0, lev[-1] + 1.0),
+            st.floats(allow_nan=False),
+        )
+        pairs = data.draw(st.lists(st.tuples(coordinate, coordinate),
+                                   min_size=1, max_size=32))
+        syms = np.array([complex(x, y) for x, y in pairs])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(detect_labels(syms, const),
+                                  _searchsorted_labels(syms, const))
+
+    @pytest.mark.parametrize("name", ["bpsk", "qam16", "qam64", "qam256"])
+    def test_nan_is_rejected(self, name):
+        const = make_constellation(name)
+        bad = [complex(np.nan, 0.0)]
+        if name != "bpsk":  # BPSK decides on the real part alone
+            bad += [complex(0.0, np.nan)]
+        for z in bad:
+            with pytest.raises(ValueError, match="not finite"):
+                detect_labels(np.array([const.points[0], z]), const)
 
     def test_rejects_unknown_modulation(self):
         with pytest.raises(ValueError):

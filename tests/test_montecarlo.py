@@ -495,6 +495,26 @@ class TestBurstSpectrum:
         assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("modulation", ["bpsk", "qam16", "qam64", "qam256"])
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 4])
+def test_draw_labels_is_the_bounded_integer_bit_fold(modulation, n_frames):
+    # draw_labels reads numpy's bounded-integer bits straight from the raw
+    # stream; a numpy whose stream differs fails here before any seeded
+    # count moves
+    chain = _Chain(_cfg(frame=FrameConfig(n_fft=256, pn_len=64, modulation=modulation)))
+    k, N = chain.k, chain.N
+    seed_key = [7, 0, n_frames, 0]
+    drawn = np.random.default_rng(np.random.SeedSequence(seed_key))
+    ref = np.random.default_rng(np.random.SeedSequence(seed_key))
+    labels = chain.draw_labels(drawn, n_frames)
+    bits = ref.integers(0, 2, size=(n_frames, N * k), dtype=np.int64)
+    expected = bits.reshape(n_frames, N, k) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    assert labels.dtype == np.intp
+    assert np.array_equal(labels, expected)
+    # the noise draw that follows sees the same generator state
+    assert np.array_equal(drawn.standard_normal(64), ref.standard_normal(64))
+
+
 def test_burst_keeps_its_n_frames_parameter():
     # perfbench/tracer.py counts the frames of each burst by reading the
     # argument named n_frames; renaming it makes every traced operation fail
